@@ -4,7 +4,8 @@
 import numpy as np
 
 from ttalab.genmodel import NgramOneHot, ToyLM, Vocabulary, init_adapter
-from ttalab.precond import build_preconditioner, estimate_diag_fisher, exact_fisher_diag
+from ttalab.oracle import SequenceSpace
+from ttalab.precond import build_preconditioner, estimate_diag_fisher
 
 rng = np.random.default_rng(4)
 vocab = Vocabulary(["w0", "w1", "w2"])
@@ -14,7 +15,7 @@ adapter.b = rng.normal(0.0, 0.2, size=adapter.b.shape)
 model = ToyLM(vocab, rng.normal(0.0, 0.4, size=(len(vocab), fmap.dimension)), adapter, fmap)
 
 context = [0, 1]
-exact = exact_fisher_diag(model, [context], length=2)
+exact = SequenceSpace(model, context, length=2).fisher_diag()
 
 for n_steps in (250, 2500, 25000):
     est = estimate_diag_fisher(model, [context], n_steps=n_steps, batch_size=2,

@@ -192,13 +192,17 @@ def load_config(path, schema: dict, overrides=()) -> dict:
     return cfg
 
 
+def _config_path(cfg: dict, value) -> Path:
+    """A config path value, relative ones taken against the config's directory."""
+    p = Path(value)
+    return p if p.is_absolute() else Path(cfg["_base_dir"]) / p
+
+
 def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
     node = cfg
     for part in key_path.split("."):
         node = node[part]
-    p = Path(node)
-    if not p.is_absolute():
-        p = Path(cfg["_base_dir"]) / p
+    p = _config_path(cfg, node)
     if must_exist and not p.exists():
         raise CliError(EXIT_CONFIG, f"config key {key_path!r}: no such file: {p}")
     return p
@@ -254,12 +258,10 @@ def cmd_precompute(args) -> int:
 
 
 def _load_scorers(cfg: dict):
-    trig_paths = [Path(cfg["_base_dir"]) / p if not Path(p).is_absolute() else Path(p)
-                  for p in cfg["lexicons"]["trigger"]]
-    rep_paths = [Path(cfg["_base_dir"]) / p if not Path(p).is_absolute() else Path(p)
-                 for p in cfg["lexicons"]["report"]]
-    cue_paths = {t: Path(cfg["_base_dir"]) / p if not Path(p).is_absolute() else Path(p)
-                 for t, p in cfg["lexicons"]["cue"].items()}
+    lex = cfg["lexicons"]
+    trig_paths = [_config_path(cfg, p) for p in lex["trigger"]]
+    rep_paths = [_config_path(cfg, p) for p in lex["report"]]
+    cue_paths = {t: _config_path(cfg, p) for t, p in lex["cue"].items()}
     for group in (*trig_paths, *rep_paths, *cue_paths.values()):
         if not group.exists():
             raise CliError(EXIT_CONFIG, f"lexicon file not found: {group}")
@@ -814,3 +816,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,8 +12,7 @@ Everything is float64 and deterministic given a seeded Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,7 +86,8 @@ class NgramOneHot:
         f[self.active_indices(history)] = 1.0
         return f
 
-    # the enumeration oracles key their caches on this window
+    # the most recent tokens the features see; the teacher-forced kernel
+    # and the enumeration oracle truncate histories to it
     @property
     def context_window(self) -> int:
         return self.order
@@ -240,29 +240,14 @@ class ToyLM:
     # -- scoring and sampling ----------------------------------------------
 
     def logits(self, history) -> np.ndarray:
-        wc = self.combined_weight()
-        idx = getattr(self.fmap, "active_indices", None)
-        if idx is not None:
-            cols = idx(history)
-            if not cols:
-                return np.zeros(len(self.vocab))
-            return wc[:, cols].sum(axis=1)
-        return wc @ self.fmap(history)
+        return self.combined_weight()[:, self.fmap.active_indices(history)].sum(axis=1)
 
     def next_token_logprobs(self, history) -> np.ndarray:
         return log_softmax(self.logits(history))
 
     def sequence_log_prob(self, target, history=()) -> float:
         """Sum of log P(target[t] | history + target[:t])."""
-        target = [int(t) for t in target]
-        if not target:
-            raise ValueError("target sequence must be non-empty")
-        ctx = list(history)
-        total = 0.0
-        for y in target:
-            total += float(self.next_token_logprobs(ctx)[y])
-            ctx.append(y)
-        return total
+        return float(self._teacher_forced([(history, target)])[2].sum())
 
     def sample_segment(self, history, settings: GenerationSettings,
                        rng: np.random.Generator) -> list[int]:
@@ -276,44 +261,61 @@ class ToyLM:
             ctx.append(y)
         return out
 
-    # -- adapter gradient ----------------------------------------------------
+    # -- teacher-forced likelihood and adapter gradient ------------------------
 
-    def adapter_gradient(self, batch) -> np.ndarray:
-        """Flat gradient of the mean negative log-likelihood over the batch.
+    def _teacher_forced(self, batch):
+        """One forward over every (pair, position) of a batch of
+        (history_ids, target_ids) pairs.
 
-        `batch` is a sequence of (history_ids, target_ids) pairs; the loss is
-        -(1/m) * sum_j log p(target_j | history_j). Layout matches
-        AdapterParams.flat (A block then B block). Exact, no sampling.
+        Row i of the returned arrays is one teacher-forced position: feats[i]
+        its feature vector, targets[i] the token it predicts, logp[i] that
+        token's log-probability and probs[i] the next-token distribution.
         """
-        if not batch:
-            raise ValueError("empty update batch")
-        s = self.adapter.scale
-        a, b = self.adapter.a, self.adapter.b
-        wc = self.combined_weight()
-        ga = np.zeros_like(a)
-        gb = np.zeros_like(b)
+        window = self.fmap.context_window
+        row_ids, cols, targets = [], [], []
         for history, target in batch:
             target = [int(t) for t in target]
             if not target:
-                raise ValueError("empty target in update batch")
-            ctx = list(history)
+                raise ValueError("target sequence must be non-empty")
+            # features see only the last `window` tokens (and the history
+            # length up to `window`), so the rest of the history is dropped
+            ctx = [int(t) for t in history[max(0, len(history) - window):]]
             for y in target:
-                cols = self.fmap.active_indices(ctx)
-                if cols:
-                    z = wc[:, cols].sum(axis=1)
-                    u = a[:, cols].sum(axis=1)
-                else:
-                    z = np.zeros(len(self.vocab))
-                    u = np.zeros(self.adapter.rank)
-                r = softmax(z)
-                r[y] -= 1.0  # d(-log p)/dz
-                gb += s * np.outer(r, u)
-                bt_r = b.T @ r
-                for c in cols:
-                    ga[:, c] += s * bt_r
+                active = self.fmap.active_indices(ctx)
+                row_ids += [len(targets)] * len(active)
+                cols += active
+                targets.append(y)
                 ctx.append(y)
+        feats = np.zeros((len(targets), self.fmap.dimension))
+        np.add.at(feats, (row_ids, cols), 1.0)
+        targets = np.array(targets, dtype=np.intp)
+        z = feats @ self.combined_weight().T
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(axis=1)
+        logp = z[np.arange(len(targets)), targets] - np.log(total)
+        return feats, targets, logp, e / total[:, None]
+
+    def adapter_gradient(self, batch):
+        """Mean negative log-likelihood over the batch and its flat gradient.
+
+        `batch` is a sequence of (history_ids, target_ids) pairs; the loss is
+        -(1/m) * sum_j log p(target_j | history_j). Returns (loss, gradient)
+        from one forward pass; the gradient layout matches AdapterParams.flat
+        (A block then B block). Exact, no sampling.
+        """
+        if not batch:
+            raise ValueError("empty update batch")
+        feats, targets, logp, resid = self._teacher_forced(batch)
+        resid[np.arange(len(targets)), targets] -= 1.0  # d(-log p)/dz per row
+        # gradient with respect to the combined weight W = W_base + s * B @ A,
+        # then the chain rule through the low-rank product
+        gw = resid.T @ feats
+        s = self.adapter.scale
+        ga = s * (self.adapter.b.T @ gw)
+        gb = s * (gw @ self.adapter.a.T)
         m = float(len(batch))
-        return np.concatenate([ga.ravel(), gb.ravel()]) / m
+        return -float(logp.sum()) / m, np.concatenate([ga.ravel(), gb.ravel()]) / m
 
     # -- persistence ---------------------------------------------------------
 

@@ -14,8 +14,7 @@ eta = sqrt(2 eps / (g^T I^{-1} g)); the constraint is tight at delta*.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class UpdateRuleConfig:
     clip_coef: float = 1.0
     max_delta_norm: float = 0.25
     lambda_reg: float = 1e-3
-    trust_region_eps: float | None = None
     precond_max: int | None = 384
     flush_every: int = 1
 
@@ -45,8 +43,6 @@ class UpdateRuleConfig:
             raise ValueError("clip_coef and max_delta_norm must be > 0")
         if self.lambda_reg < 0:
             raise ValueError("lambda_reg must be >= 0")
-        if self.trust_region_eps is not None and self.trust_region_eps <= 0:
-            raise ValueError("trust_region_eps must be > 0 when set")
 
     @property
     def lr(self) -> float:
@@ -57,10 +53,8 @@ class UpdateRuleConfig:
 
 @dataclass
 class StepOutcome:
-    phi: np.ndarray
     delta: np.ndarray
     grad_norm: float
-    wall_time: float
 
 
 def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
@@ -78,15 +72,12 @@ def cap_delta(delta: np.ndarray, max_delta_norm: float) -> np.ndarray:
     return clip_gradient(delta, max_delta_norm)
 
 
-def _outcome(phi, delta, g, t0) -> StepOutcome:
-    return StepOutcome(phi=phi + delta, delta=delta,
-                       grad_norm=float(np.linalg.norm(g)),
-                       wall_time=time.perf_counter() - t0)
+def _outcome(delta, g) -> StepOutcome:
+    return StepOutcome(delta=delta, grad_norm=float(np.linalg.norm(g)))
 
 
 def sgd_step(phi: np.ndarray, g: np.ndarray, lr: float) -> StepOutcome:
-    t0 = time.perf_counter()
-    return _outcome(phi, -lr * g, g, t0)
+    return _outcome(-lr * g, g)
 
 
 def precond_step(phi: np.ndarray, g: np.ndarray, preconditioner: np.ndarray,
@@ -96,8 +87,7 @@ def precond_step(phi: np.ndarray, g: np.ndarray, preconditioner: np.ndarray,
         raise ValueError(
             f"preconditioner shape {preconditioner.shape} does not match "
             f"gradient shape {g.shape}")
-    t0 = time.perf_counter()
-    return _outcome(phi, -lr * (preconditioner * g), g, t0)
+    return _outcome(-lr * (preconditioner * g), g)
 
 
 @dataclass
@@ -120,7 +110,6 @@ def adamw_step(state: AdamWState, phi: np.ndarray, g: np.ndarray, lr: float,
     -lr * sign(g) (0/0 coordinates resolve to 0), which is the sign-step
     behavior the preconditioned rule is built to avoid on cold starts.
     """
-    t0 = time.perf_counter()
     state.t += 1
     state.m = beta1 * state.m + (1.0 - beta1) * g
     state.v = beta2 * state.v + (1.0 - beta2) * g * g
@@ -129,7 +118,7 @@ def adamw_step(state: AdamWState, phi: np.ndarray, g: np.ndarray, lr: float,
     denom = np.sqrt(v_hat) + eps_num
     ratio = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom != 0.0)
     delta = -lr * (ratio + weight_decay * phi)
-    return _outcome(phi, delta, g, t0)
+    return _outcome(delta, g)
 
 
 @dataclass

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .genmodel import log_softmax
 
 # -- tilting and KL projection ------------------------------------------------
 
@@ -312,7 +311,7 @@ def empirical_grad_stats(model, context, targets, weights=None,
         if not replace:
             raise ValueError("weighted support requires replace=True")
         weights = _check_dist(weights)
-    per_sample = np.stack([model.adapter_gradient([(context, t)]) for t in targets])
+    per_sample = np.stack([model.adapter_gradient([(context, t)])[1] for t in targets])
     exact = weights @ per_sample
 
     rng = np.random.default_rng(seed)

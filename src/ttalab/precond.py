@@ -3,9 +3,8 @@
 The reference Fisher is estimated once, at the episode-start adapter state,
 by sampling continuations from the model itself on a safe corpus and
 averaging squared score entries; the preconditioner is the damped inverse
-of that diagonal and is reused across every episode. Exact-Fisher
-computation by full sequence enumeration is provided for verification on
-models small enough to enumerate.
+of that diagonal and is reused across every episode. The exact Fisher of
+an enumerable model is oracle.SequenceSpace.fisher_diag.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from .genmodel import GenerationSettings
 
 PRECOND_KIND = "preconditioner"
 PRECOND_VERSION = 1
-
-# Fisher sampling draws from the raw model distribution, not the shaped
-# nucleus-sampling distribution used for story generation.
-PLAIN_SETTINGS = GenerationSettings(temperature=1.0, top_p=1.0, tokens_per_segment=1)
 
 
 class EstimationError(RuntimeError):
@@ -111,7 +106,7 @@ def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
             else:
                 context = _encode_context(model, item)
                 target = model.sample_segment(context, settings, rng)
-            score = -model.adapter_gradient([(context, target)])
+            score = -model.adapter_gradient([(context, target)])[1]
             acc.add(score * score)
             count += 1
     if count == 0:
@@ -196,84 +191,6 @@ def build_preconditioner(estimate: FisherDiagEstimate,
             "empirical": estimate.empirical,
         },
     )
-
-
-# -- exact Fisher by enumeration (verification only) ---------------------------
-
-
-def _enumerate_scores(model, context, length, budget):
-    """Depth-first walk over all |V|^length continuations of `context`.
-
-    Yields (probability, score vector) per complete sequence. Scores are
-    accumulated along the path, so each edge's gradient is computed once.
-    """
-    vsize = len(model.vocab)
-    if vsize ** length > budget:
-        raise EstimationError(
-            f"enumeration budget exceeded: {vsize}^{length} > {budget}")
-
-    grad_cache: dict = {}
-    window = getattr(getattr(model, "fmap", None), "context_window", None)
-
-    def edge(ctx, y):
-        hist = list(ctx[-window:]) if window is not None else list(ctx)
-        key = (tuple(hist), y)
-        hit = grad_cache.get(key)
-        if hit is None:
-            logp = float(model.next_token_logprobs(hist)[y])
-            score = -model.adapter_gradient([(hist, [y])])
-            hit = (logp, score)
-            grad_cache[key] = hit
-        return hit
-
-    ctx = list(context)
-
-    def walk(depth, logp, score):
-        if depth == length:
-            yield math.exp(logp), score
-            return
-        for y in range(vsize):
-            lp, sc = edge(ctx, y)
-            ctx.append(y)
-            yield from walk(depth + 1, logp + lp, score + sc)
-            ctx.pop()
-
-    yield from walk(0, 0.0, np.zeros(model.param_count))
-
-
-def exact_fisher_diag(model, contexts, length: int, budget: int = 10 ** 6,
-                      per_context: bool = False) -> np.ndarray:
-    """Exact diagonal Fisher for length-`length` continuations.
-
-    Returns the mean over contexts, or the (n_contexts, n) per-context array
-    when `per_context` is set. Computed as the exact variance of the score,
-    Var[grad log p], via full enumeration.
-    """
-    rows = []
-    for item in contexts:
-        ctx = _encode_context(model, item)
-        mean = KahanSum(model.param_count)
-        mean_sq = KahanSum(model.param_count)
-        for p, score in _enumerate_scores(model, ctx, length, budget):
-            mean.add(p * score)
-            mean_sq.add(p * score * score)
-        rows.append(mean_sq.total - mean.total ** 2)
-    out = np.array(rows)
-    if per_context:
-        return out
-    return out.mean(axis=0)
-
-
-def exact_fisher_full(model, context, length: int, budget: int = 10 ** 5) -> np.ndarray:
-    """Exact full Fisher matrix (covariance of the score) for one context."""
-    ctx = _encode_context(model, context)
-    n = model.param_count
-    mean = np.zeros(n)
-    second = np.zeros((n, n))
-    for p, score in _enumerate_scores(model, ctx, length, budget):
-        mean += p * score
-        second += p * np.outer(score, score)
-    return second - np.outer(mean, mean)
 
 
 @dataclass

@@ -188,15 +188,3 @@ def sample_safe_batch(bank: SafeBank, dominant_type: str, k: int,
         idx = rng.choice(len(pool), size=need, replace=False)
         picked += [pool[i] for i in sorted(int(i) for i in idx)]
     return picked
-
-
-def context_align(history, entry_text: str, max_len_update: int = 256,
-                  separator: str = DEFAULT_SEPARATOR) -> str:
-    """History tail (left-truncated to max_len_update tokens) + separator +
-    entry text; an empty history leaves just the separator and entry."""
-    if isinstance(history, str):
-        words = history.split()
-    else:
-        words = [str(w) for w in history]
-    tail = words[-max_len_update:] if max_len_update > 0 else []
-    return " ".join(tail + [separator] + entry_text.split())

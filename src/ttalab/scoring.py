@@ -15,6 +15,7 @@ import queue
 import re
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -307,6 +308,28 @@ class PluginScorer:
     def __exit__(self, *exc):
         self.close()
 
+    def _read_reply(self, req_id: int) -> dict:
+        """Next reply not older than `req_id`.
+
+        Late replies to requests that already timed out are discarded, so
+        one slow answer does not shift every later reply by one.
+        """
+        deadline = time.monotonic() + self.timeout
+        while True:
+            try:
+                line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.0))
+            except queue.Empty:
+                raise ScoringError(self.id, f"no response within {self.timeout}s") from None
+            try:
+                resp = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ScoringError(self.id, f"bad JSON from plugin: {line!r}") from exc
+            if not isinstance(resp, dict):
+                raise ScoringError(self.id, f"reply is not a JSON object: {line!r}")
+            rid = resp.get("id")
+            if not (isinstance(rid, int) and rid < req_id):
+                return resp
+
     def score(self, text: str) -> float:
         with self._lock:
             self._ensure_started()
@@ -317,14 +340,7 @@ class PluginScorer:
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise ScoringError(self.id, f"plugin pipe failed: {exc}") from exc
-            try:
-                line = self._lines.get(timeout=self.timeout)
-            except queue.Empty:
-                raise ScoringError(self.id, f"no response within {self.timeout}s") from None
-            try:
-                resp = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScoringError(self.id, f"bad JSON from plugin: {line!r}") from exc
+            resp = self._read_reply(req_id)
             if resp.get("id") != req_id:
                 raise ScoringError(self.id, f"response id {resp.get('id')} != request {req_id}")
             scores = resp.get("scores")

@@ -154,20 +154,13 @@ def aligned_pairs(history_ids, entries, vocab, max_len: int, separator: str):
     return pairs
 
 
-def _batch_loss(model, pairs) -> float:
-    total = 0.0
-    for ctx, tgt in pairs:
-        total -= model.sequence_log_prob(tgt, ctx)
-    return total / len(pairs)
-
-
 def _update_round(model, pairs, cfg: UpdateRuleConfig, phi0, pre_diag,
                   opt_state) -> UpdateRound:
     losses, grad_norms, delta_norms = [], [], []
     pending = np.zeros(model.param_count)
     for step in range(cfg.steps):
-        losses.append(_batch_loss(model, pairs))
-        grad = model.adapter_gradient(pairs)
+        loss, grad = model.adapter_gradient(pairs)
+        losses.append(loss)
         if cfg.lambda_reg:
             grad = grad + cfg.lambda_reg * (model.adapter_flat() - phi0)
         g = clip_gradient(grad, cfg.clip_coef)

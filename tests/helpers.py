@@ -1,8 +1,13 @@
-"""Shared test plumbing."""
+"""Shared test plumbing, including the independent oracles that the
+package's vectorised code is checked against."""
 
+import itertools
 import math
 
 import numpy as np
+
+from ttalab.genmodel import softmax
+from ttalab.safebank import DEFAULT_SEPARATOR
 
 
 class BernoulliModel:
@@ -36,11 +41,13 @@ class BernoulliModel:
 
     def adapter_gradient(self, batch):
         # d log p(1)/dphi = 1 - p1 ; d log p(0)/dphi = -p1
-        total = 0.0
+        logp = self.next_token_logprobs(())
+        nll = total = 0.0
         for _, target in batch:
             for y in target:
+                nll -= logp[y]
                 total += (1.0 - self.p1) if y == 1 else -self.p1
-        return np.array([-total / len(batch)])
+        return float(nll) / len(batch), np.array([-total / len(batch)])
 
 
 class ZeroFeatureMap:
@@ -73,3 +80,76 @@ class FixedScorer:
 
     def score(self, text):
         return self.table.get(text, self.default)
+
+
+# -- per-token loop oracles for the teacher-forced kernel ------------------------
+
+
+def reference_sequence_log_prob(model, target, history=()):
+    """Sum of log P(target[t] | history + target[:t]), one token at a time."""
+    target = [int(t) for t in target]
+    if not target:
+        raise ValueError("target sequence must be non-empty")
+    ctx = list(history)
+    total = 0.0
+    for y in target:
+        total += float(model.next_token_logprobs(ctx)[y])
+        ctx.append(y)
+    return total
+
+
+def reference_adapter_gradient(model, batch):
+    """(mean NLL, flat gradient) of a ToyLM, walking every target token."""
+    if not batch:
+        raise ValueError("empty update batch")
+    s = model.adapter.scale
+    a, b = model.adapter.a, model.adapter.b
+    wc = model.combined_weight()
+    ga = np.zeros_like(a)
+    gb = np.zeros_like(b)
+    nll = 0.0
+    for history, target in batch:
+        nll -= reference_sequence_log_prob(model, target, history)
+        ctx = list(history)
+        for y in target:
+            y = int(y)
+            cols = model.fmap.active_indices(ctx)
+            if cols:
+                z = wc[:, cols].sum(axis=1)
+                u = a[:, cols].sum(axis=1)
+            else:
+                z = np.zeros(len(model.vocab))
+                u = np.zeros(model.adapter.rank)
+            r = softmax(z)
+            r[y] -= 1.0  # d(-log p)/dz
+            gb += s * np.outer(r, u)
+            bt_r = b.T @ r
+            for c in cols:
+                ga[:, c] += s * bt_r
+            ctx.append(y)
+    m = float(len(batch))
+    return nll / m, np.concatenate([ga.ravel(), gb.ravel()]) / m
+
+
+def brute_force_fisher(model, context, length):
+    """Exact full Fisher (covariance of the score) of length-`length`
+    continuations of `context`, by itertools.product over every outcome."""
+    context = [int(t) for t in context]
+    probs, scores = [], []
+    for target in itertools.product(range(len(model.vocab)), repeat=length):
+        probs.append(math.exp(reference_sequence_log_prob(model, target, context)))
+        scores.append(-model.adapter_gradient([(context, list(target))])[1])
+    p, s = np.array(probs), np.array(scores)
+    centered = s - p @ s
+    return (centered * p[:, None]).T @ centered
+
+
+def context_align(history, entry_text, max_len_update=256, separator=DEFAULT_SEPARATOR):
+    """String twin of tta.aligned_pairs: history tail (left-truncated to
+    max_len_update tokens) + separator + entry text."""
+    if isinstance(history, str):
+        words = history.split()
+    else:
+        words = [str(w) for w in history]
+    tail = words[-max_len_update:] if max_len_update > 0 else []
+    return " ".join(tail + [separator] + entry_text.split())

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import BernoulliModel, FixedScorer
+from helpers import BernoulliModel, FixedScorer, brute_force_fisher
 from ttalab import cli, ood as oodmod, toydata
 from ttalab.genmodel import (
     AdapterParams,
@@ -44,7 +44,6 @@ from ttalab.precond import (
     Preconditioner,
     build_preconditioner,
     estimate_diag_fisher,
-    exact_fisher_diag,
 )
 from ttalab.scoring import committee_score, is_safe, route_types, should_trigger
 from ttalab.tta import reset_episode, run_episode, trigger_curve
@@ -159,7 +158,7 @@ def test_criterion_02_preconditioner_identity_and_mc_fisher():
     scores = space.score_matrix()
     second_moment = probs @ (scores ** 2)
     np.testing.assert_allclose(second_moment,
-                               exact_fisher_diag(model, [ctx], length=2),
+                               np.diag(brute_force_fisher(model, ctx, length=2)),
                                atol=1e-10)
     var = probs @ (scores ** 4) - second_moment ** 2
     band = 3 * np.sqrt(np.maximum(var, 0.0) / n_samples) + 1e-12

@@ -6,7 +6,10 @@ scenario directory, so the tests double as a contract for the exit codes
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +276,22 @@ def test_sample_larger_than_prompt_pool(ws, tmp_path):
 
 def test_config_file_not_found(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_module_entry_point(tmp_path):
+    import ttalab
+
+    env = dict(os.environ)
+    src = str(Path(ttalab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "ttalab.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    helped = module("--help")
+    assert helped.returncode == 0 and "usage" in helped.stdout
+    assert module("run", "--config", str(tmp_path / "missing.json")).returncode == 2
 
 
 def test_precond_mode_needs_preconditioner(ws, tmp_path):

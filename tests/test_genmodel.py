@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import ZeroFeatureMap, reference_adapter_gradient, reference_sequence_log_prob
 from ttalab.genmodel import (
     AdapterParams,
     GenerationSettings,
@@ -172,7 +174,7 @@ def test_gradient_matches_central_differences():
         ([1, 2], list(rng.integers(0, len(m.vocab), size=4))),
         ([], list(rng.integers(0, len(m.vocab), size=3))),
     ]
-    g = m.adapter_gradient(batch)
+    g = m.adapter_gradient(batch)[1]
     phi = m.adapter_flat()
     h = 1e-6
     fd = np.zeros_like(g)
@@ -191,8 +193,8 @@ def test_gradient_matches_central_differences():
 def test_gradient_batch_mean_of_duplicates():
     m = small_model(seed=2)
     pair = ([3], [1, 4, 0])
-    g1 = m.adapter_gradient([pair])
-    g2 = m.adapter_gradient([pair, pair, pair])
+    g1 = m.adapter_gradient([pair])[1]
+    g2 = m.adapter_gradient([pair, pair, pair])[1]
     np.testing.assert_allclose(g1, g2, atol=1e-14)
 
 
@@ -200,7 +202,7 @@ def test_gradient_zero_for_featureless_position():
     # empty history + order-2 features: first position sees the zero vector,
     # so a single-token target yields an exactly zero gradient
     m = small_model(seed=4)
-    g = m.adapter_gradient([([], [2])])
+    g = m.adapter_gradient([([], [2])])[1]
     assert np.all(g == 0.0)
 
 
@@ -211,12 +213,45 @@ def test_gradient_rejects_empty_batch():
         small_model().adapter_gradient([([1], [])])
 
 
+@st.composite
+def kernel_cases(draw):
+    """A random model (order 0 means the zero feature map) and batch."""
+    order = draw(st.sampled_from([0, 1, 2, 3]))
+    vocab_size = draw(st.integers(2, 5))
+    tok = st.integers(0, vocab_size - 1)
+    pair = st.tuples(st.lists(tok, max_size=5), st.lists(tok, min_size=1, max_size=6))
+    batch = draw(st.lists(pair, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        batch.append(batch[0])
+    return order, vocab_size, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1)), batch
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_per_token_oracle(case):
+    order, vocab_size, rank, seed, batch = case
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
+    fmap = NgramOneHot(vocab_size, order=order) if order else ZeroFeatureMap(2 * vocab_size)
+    adapter = init_adapter(rng, vocab_size, fmap.dimension, rank=rank, alpha=2.0 * rank)
+    adapter.b = rng.normal(0.0, 0.5, size=adapter.b.shape)
+    m = ToyLM(vocab, rng.normal(0.0, 1.0, size=(vocab_size, fmap.dimension)), adapter, fmap)
+
+    nll, grad = m.adapter_gradient(batch)
+    want_nll, want_grad = reference_adapter_gradient(m, batch)
+    assert nll == pytest.approx(want_nll, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+    for history, target in batch:
+        assert m.sequence_log_prob(target, history) == pytest.approx(
+            reference_sequence_log_prob(m, target, history), rel=1e-12, abs=1e-12)
+
+
 def test_gradient_layout_matches_flat():
     # bump one A coordinate and one B coordinate through the flat interface
     # and confirm the loss moves the way the gradient's layout claims
     m = small_model(seed=9)
     batch = [([1, 0], [2, 3])]
-    g = m.adapter_gradient(batch)
+    g = m.adapter_gradient(batch)[1]
     phi = m.adapter_flat()
     na = m.adapter.a.size
     for idx in [na // 2, na + (m.adapter.b.size // 2)]:

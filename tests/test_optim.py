@@ -54,7 +54,7 @@ def test_cap_delta_examples():
 def test_sgd_zero_gradient_keeps_phi():
     phi = np.array([1.0, -2.0])
     out = sgd_step(phi, np.zeros(2), 5e-4)
-    np.testing.assert_array_equal(out.phi, phi)
+    np.testing.assert_array_equal(phi + out.delta, phi)
     np.testing.assert_array_equal(out.delta, np.zeros(2))
 
 
@@ -63,7 +63,7 @@ def test_precond_with_ones_equals_sgd():
     phi, g = rng.normal(size=6), rng.normal(size=6)
     a = sgd_step(phi, g, 1e-3)
     b = precond_step(phi, g, np.ones(6), 1e-3)
-    np.testing.assert_allclose(a.phi, b.phi, atol=1e-15)
+    np.testing.assert_allclose(phi + a.delta, phi + b.delta, atol=1e-15)
 
 
 def test_precond_worked_example():
@@ -79,15 +79,15 @@ def test_precond_dimension_mismatch():
 def test_sgd_linearity():
     phi = np.array([0.5, 0.5])
     g = np.array([1.0, -1.0])
-    once = sgd_step(sgd_step(phi, g, 1e-3).phi, g, 1e-3).phi
-    twice = sgd_step(phi, g, 2e-3).phi
+    mid = phi + sgd_step(phi, g, 1e-3).delta
+    once = mid + sgd_step(mid, g, 1e-3).delta
+    twice = phi + sgd_step(phi, g, 2e-3).delta
     np.testing.assert_allclose(once, twice, atol=1e-15)
 
 
 def test_grad_norm_recorded():
     out = sgd_step(np.zeros(2), np.array([3.0, 4.0]), 1e-3)
     assert out.grad_norm == pytest.approx(5.0)
-    assert out.wall_time >= 0.0
 
 
 # -- adamw ------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_adamw_zero_gradient_never_moves():
     phi = np.array([1.0, 2.0, 3.0])
     for _ in range(4):
         out = adamw_step(state, phi, np.zeros(3), lr=3e-4)
-        phi = out.phi
+        phi = phi + out.delta
     np.testing.assert_array_equal(phi, [1.0, 2.0, 3.0])
 
 
@@ -139,7 +139,7 @@ def test_adamw_matches_scripted_oracle(wd):
     state = AdamWState.zeros(5)
     cur = phi.copy()
     for g, ref in zip(grads, expected):
-        cur = adamw_step(state, cur, g, lr=3e-4, weight_decay=wd).phi
+        cur = cur + adamw_step(state, cur, g, lr=3e-4, weight_decay=wd).delta
         np.testing.assert_allclose(cur, ref, atol=1e-10)
 
 
@@ -246,5 +246,3 @@ def test_config_validation():
         UpdateRuleConfig(steps=0).validate()
     with pytest.raises(ValueError):
         UpdateRuleConfig(max_delta_norm=0.0).validate()
-    with pytest.raises(ValueError):
-        UpdateRuleConfig(trust_region_eps=-1.0).validate()

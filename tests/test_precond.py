@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import BernoulliModel, ZeroFeatureMap
+from helpers import BernoulliModel, ZeroFeatureMap, brute_force_fisher
 from ttalab.genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
+from ttalab.oracle import SequenceSpace
 from ttalab.precond import (
     DigestMismatchError,
     EstimationError,
@@ -12,8 +13,6 @@ from ttalab.precond import (
     build_preconditioner,
     check_fisher_stability,
     estimate_diag_fisher,
-    exact_fisher_diag,
-    exact_fisher_full,
 )
 
 
@@ -114,28 +113,28 @@ def test_empirical_mode_uses_corpus_targets():
                                continuation_tokens=8, seed=0, empirical=True)
     # every step sees the same (context, target) pair, so the mean of squares
     # equals any single sample's squared score
-    score = -model.adapter_gradient([([], model.vocab.encode("w0 w1 w2"))])
+    score = -model.adapter_gradient([([], model.vocab.encode("w0 w1 w2"))])[1]
     np.testing.assert_allclose(est.diag, score * score, atol=1e-12)
     assert est.empirical
 
 
-# -- exact Fisher oracles -----------------------------------------------------------
+# -- exact Fisher by enumeration ---------------------------------------------------
 
 
 def test_exact_fisher_matches_bernoulli_closed_form():
+    # the brute-force oracle that the SequenceSpace Fisher is checked against
     model = BernoulliModel(phi=-0.35)
-    diag = exact_fisher_diag(model, [[]], length=1)
-    assert diag[0] == pytest.approx(model.exact_fisher(), abs=1e-12)
+    full = brute_force_fisher(model, [], length=1)
+    assert full[0, 0] == pytest.approx(model.exact_fisher(), abs=1e-12)
     # multi-step continuations add independent positions: Fisher scales by T
-    diag3 = exact_fisher_diag(model, [[]], length=3)
-    assert diag3[0] == pytest.approx(3 * model.exact_fisher(), abs=1e-10)
+    full3 = brute_force_fisher(model, [], length=3)
+    assert full3[0, 0] == pytest.approx(3 * model.exact_fisher(), abs=1e-10)
 
 
 def test_exact_fisher_full_matches_diag():
-    model = tiny_model(seed=9, vocab_size=3)
-    full = exact_fisher_full(model, [0], length=2)
-    diag = exact_fisher_diag(model, [[0]], length=2)
-    np.testing.assert_allclose(np.diag(full), diag, atol=1e-10)
+    space = SequenceSpace(tiny_model(seed=9, vocab_size=3), [0], length=2)
+    full = space.fisher_full()
+    np.testing.assert_allclose(np.diag(full), space.fisher_diag(), atol=1e-10)
     np.testing.assert_allclose(full, full.T, atol=1e-12)
 
 
@@ -146,14 +145,15 @@ def test_exact_fisher_degenerate_distribution_is_flat():
     model.w_base[:, :] = 0.0
     model.w_base[1, :] = 40.0
     model._wc = None
-    diag = exact_fisher_diag(model, [[1, 1]], length=2)
+    diag = SequenceSpace(model, [1, 1], length=2).fisher_diag()
     assert float(np.max(np.abs(diag))) < 1e-8
 
 
 def test_mc_estimate_approaches_exact():
     model = tiny_model(seed=13, vocab_size=4)
     contexts = [[0, 1], [2], [3, 3]]
-    exact = exact_fisher_diag(model, contexts, length=2)
+    exact = np.mean([SequenceSpace(model, c, length=2).fisher_diag() for c in contexts],
+                    axis=0)
     est = estimate_diag_fisher(model, contexts, n_steps=5000, batch_size=2,
                                continuation_tokens=2, seed=3)
     top = exact > 0.05 * exact.max()
@@ -163,8 +163,8 @@ def test_mc_estimate_approaches_exact():
 
 def test_enumeration_budget_guard():
     model = tiny_model(seed=0, vocab_size=12)
-    with pytest.raises(EstimationError):
-        exact_fisher_diag(model, [[0]], length=8, budget=10 ** 5)
+    with pytest.raises(ValueError):
+        SequenceSpace(model, [0], length=8, budget=10 ** 5)
 
 
 # -- persistence ---------------------------------------------------------------------

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import FixedScorer
+from helpers import FixedScorer, context_align
 from ttalab.safebank import (
     BankExhaustedError,
     SafeBank,
-    context_align,
     ingest,
     sample_safe_batch,
 )

@@ -234,6 +234,15 @@ SLOW_PLUGIN = textwrap.dedent("""
     time.sleep(30)
 """)
 
+SLOW_ONCE_PLUGIN = textwrap.dedent("""
+    import json, sys, time
+    for n, line in enumerate(sys.stdin):
+        req = json.loads(line)
+        if n == 0:
+            time.sleep(1.0)
+        print(json.dumps({"id": req["id"], "scores": {"tox": 0.4}}), flush=True)
+""")
+
 WRONG_ID_PLUGIN = textwrap.dedent("""
     import json, sys
     for line in sys.stdin:
@@ -271,3 +280,14 @@ def test_plugin_id_echo_enforced(tmp_path):
     with plugin(tmp_path, WRONG_ID_PLUGIN, field="tox") as sc:
         with pytest.raises(ScoringError):
             sc.score("hello")
+
+
+def test_plugin_recovers_after_timeout(tmp_path):
+    with plugin(tmp_path, SLOW_ONCE_PLUGIN, field="tox", timeout=0.3) as sc:
+        with pytest.raises(ScoringError):
+            sc.score("slow")
+        # the late reply to the first request must be skipped, not read as
+        # the answer to the next one
+        sc.timeout = 10.0
+        assert sc.score("fast") == pytest.approx(0.4)
+        assert sc.score("again") == pytest.approx(0.4)

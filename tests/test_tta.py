@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import context_align
 from ttalab.genmodel import NgramOneHot, ToyLM, Vocabulary, init_adapter
 from ttalab.metrics import perplexity
 from ttalab.precond import DigestMismatchError, build_preconditioner, estimate_diag_fisher
@@ -273,7 +274,7 @@ def test_reset_restores_probe_perplexity():
 
 
 def test_aligned_pairs_matches_string_alignment():
-    from ttalab.safebank import SafeEntry, context_align
+    from ttalab.safebank import SafeEntry
 
     model = biased_model()
     history = model.vocab.encode("calm tree river walk sun tree calm")
