@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,21 @@ def digest_obj(obj) -> str:
     return digest_text(canonical_json(obj))
 
 
+def _write_atomically(path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it into
+    place, so a write that fails part-way leaves the old file untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomically(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:
@@ -50,10 +64,8 @@ def read_json(path) -> dict:
 
 def write_jsonl(path, header: dict, records) -> None:
     """Write a JSONL file with a single header line followed by records."""
-    with open(path, "w") as fh:
-        fh.write(canonical_json(header) + "\n")
-        for rec in records:
-            fh.write(canonical_json(rec) + "\n")
+    lines = [canonical_json(header)] + [canonical_json(rec) for rec in records]
+    _write_atomically(path, "\n".join(lines) + "\n")
 
 
 def read_jsonl(path) -> tuple[dict, list[dict]]:

@@ -473,7 +473,10 @@ def load_manifest(path) -> dict:
         if entry is None:
             continue
         p = Path(entry["path"])
-        if p.exists() and file_digest(p) != entry["digest"]:
+        if not p.exists():
+            print(f"warning: {path}: artifact {name} at {p} is missing and "
+                  f"could not be verified", file=sys.stderr)
+        elif file_digest(p) != entry["digest"]:
             raise CliError(EXIT_DIGEST,
                            f"{path}: artifact {name} at {p} changed since the run")
     return d

@@ -1,5 +1,8 @@
 """Evaluation formulas: perplexity, fluency, trajectory differences,
-paired t-test, Fleiss' kappa, and the run-level summary table."""
+paired t-test, Fleiss' kappa, and the run-level summary table.
+
+scipy is imported inside `paired_t_test` only, so `ttalab run` and
+`ttalab precompute` start without loading it."""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 # -- perplexity and fluency -------------------------------------------------------
@@ -92,6 +94,8 @@ def paired_t_test(differences) -> TTestResult:
 
     The statistic is computed directly; only the t CDF comes from scipy.
     Zero sample variance is flagged instead of dividing by it."""
+    from scipy import stats
+
     d = np.asarray(differences, dtype=np.float64)
     if d.size < 2:
         raise ValueError("need at least two differences")

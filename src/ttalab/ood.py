@@ -4,6 +4,9 @@ Three detectors (k-th nearest neighbour distance, shrinkage Mahalanobis,
 likelihood ratio) plus rank-based AUROC / AUPR with a percentile bootstrap.
 Embeddings at this scale are mean-pooled feature-map vectors; anything
 richer can be piped in through the embedding exchange file.
+
+scipy's `rankdata` is imported inside `auroc` and the bootstrap branch of
+`evaluate` only, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 FAR_OOD_AUROC = 0.95
 
@@ -143,6 +145,8 @@ def llr_score(text, foreground, background) -> float:
 
 def auroc(scores_ood, scores_id) -> float:
     """Rank-statistic AUROC; tied pairs count one half."""
+    from scipy.stats import rankdata
+
     o = np.asarray(scores_ood, dtype=np.float64)
     i = np.asarray(scores_id, dtype=np.float64)
     if o.size == 0 or i.size == 0:
@@ -218,6 +222,8 @@ def evaluate(scores_ood, scores_id, bootstrap_n: int = 1000, seed: int = 0,
     point_aupr = aupr(o, i)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if bootstrap_n > 0:
+        from scipy.stats import rankdata
+
         idx_o = rng.integers(0, o.size, size=(bootstrap_n, o.size))
         idx_i = rng.integers(0, i.size, size=(bootstrap_n, i.size))
         mat = np.concatenate([o[idx_o], i[idx_i]], axis=1)

@@ -278,12 +278,16 @@ def test_config_file_not_found(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_module_entry_point(tmp_path):
-    import ttalab
-
+def _fresh_interpreter_env():
+    """Environment for a child interpreter that imports this checkout's ttalab."""
     env = dict(os.environ)
-    src = str(Path(ttalab.__file__).resolve().parents[1])
+    src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    env = _fresh_interpreter_env()
 
     def module(*args):
         return subprocess.run([sys.executable, "-m", "ttalab.cli", *args], env=env,
@@ -292,6 +296,16 @@ def test_module_entry_point(tmp_path):
     helped = module("--help")
     assert helped.returncode == 0 and "usage" in helped.stdout
     assert module("run", "--config", str(tmp_path / "missing.json")).returncode == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    probe = ("import sys\n"
+             "import ttalab.cli, ttalab.metrics, ttalab.ood\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=_fresh_interpreter_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_precond_mode_needs_preconditioner(ws, tmp_path):
@@ -341,6 +355,20 @@ def test_report_refuses_mixed_artifacts(ws, runs, tmp_path):
     _write_json(man_path, man)
     assert cli.main(["report", str(root)]) == 3
     assert cli.main(["report", str(root), "--force"]) == 0
+
+
+def test_report_warns_on_missing_artifact(runs, tmp_path, capsys):
+    root = tmp_path / "vanished"
+    shutil.copytree(runs["static"], root / "a")
+    man_path = root / "a" / "manifest.json"
+    man = json.loads(man_path.read_text())
+    gone = tmp_path / "gone.json"
+    man["artifacts"]["model"] = {"path": str(gone), "digest": "0" * 64}
+    _write_json(man_path, man)
+    assert cli.main(["report", str(root)]) == 0
+    err = capsys.readouterr().err
+    assert f"{man_path}: artifact model at {gone}" in err
+    assert "could not be verified" in err
 
 
 # -- exit code 4: episode failures ----------------------------------------------
