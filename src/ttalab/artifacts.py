@@ -1,4 +1,5 @@
-"""Shared helpers for on-disk artifacts: bit-exact arrays, digests, JSONL."""
+"""Shared helpers for on-disk artifacts: bit-exact arrays, digests, atomic
+writes, JSON/JSONL and plain-text line files."""
 
 from __future__ import annotations
 
@@ -41,7 +42,16 @@ def digest_obj(obj) -> str:
     return digest_text(canonical_json(obj))
 
 
-def _write_atomically(path, text: str) -> None:
+def file_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def read_lines(path) -> list[str]:
+    """The non-blank lines of a text file, in order."""
+    return [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+
+
+def write_text(path, text: str) -> None:
     """Write `text` to a temporary file beside `path`, then rename it into
     place, so a write that fails part-way leaves the old file untouched."""
     path = Path(path)
@@ -55,7 +65,7 @@ def _write_atomically(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    _write_atomically(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:
@@ -65,13 +75,12 @@ def read_json(path) -> dict:
 def write_jsonl(path, header: dict, records) -> None:
     """Write a JSONL file with a single header line followed by records."""
     lines = [canonical_json(header)] + [canonical_json(rec) for rec in records]
-    _write_atomically(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_jsonl(path) -> tuple[dict, list[dict]]:
     """Read a header-plus-records JSONL file written by write_jsonl."""
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty artifact")
     header = json.loads(lines[0])

@@ -3,7 +3,9 @@
 Every run is driven by a strict JSON config (unknown keys are errors, every
 hyperparameter is a named key) plus repeatable --set dotted overrides. A
 (config digest, master seed) pair determines every output byte except the
-wall-clock fields recorded under explicit timing keys.
+wall-clock fields: `timing` in each records.jsonl record and metrics.json
+row, `update_time_mean`/`test_time_mean` in summary.tsv, and
+`wall_clock_seconds` in manifest.json.
 
 Exit codes: 0 ok, 2 configuration error, 3 artifact digest error,
 4 episode failure fraction exceeded.
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, ood as oodmod
-from .artifacts import canonical_json, read_json, write_json
+from .artifacts import canonical_json, file_digest, read_json, read_lines, write_json, write_text
 from .genmodel import ToyLM
 from .metrics import aggregate_run, fluency, perplexity, summary_table
 from .optim import UpdateRuleConfig
@@ -33,7 +35,7 @@ from .precond import (
     estimate_diag_fisher,
 )
 from .safebank import SafeBank
-from .scoring import BiasMonitor, LexiconScorer, MaskedTypeRouter, load_lexicon, report_score
+from .scoring import BiasMonitor, MaskedTypeRouter, load_lexicon, report_score
 from .tta import EpisodeConfig, load_episodes, run_episode, save_episodes, trigger_curve
 
 MANIFEST_KIND = "run-manifest"
@@ -110,7 +112,6 @@ RUN_SCHEMA = {
         "max_delta_norm": (float, 0.25),
         "lambda_reg": (float, 1e-3),
         "precond_max": (int, 384),
-        "flush_every": (int, 1),
     },
 }
 
@@ -213,10 +214,6 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(clean).encode()).hexdigest()
 
 
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 # -- precompute --------------------------------------------------------------------
 
 
@@ -224,7 +221,7 @@ def cmd_precompute(args) -> int:
     cfg = load_config(args.config, PRECOMPUTE_SCHEMA, args.set or ())
     model = ToyLM.load(_resolve(cfg, "model"))
     corpus_path = _resolve(cfg, "corpus")
-    corpus = [ln for ln in corpus_path.read_text().splitlines() if ln.strip()]
+    corpus = read_lines(corpus_path)
     if not corpus:
         raise CliError(EXIT_CONFIG, f"corpus file {corpus_path} is empty")
 
@@ -274,7 +271,7 @@ def _load_scorers(cfg: dict):
 
 def _select_prompts(cfg: dict, report_scorers) -> list[str]:
     path = _resolve(cfg, "prompts.path")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = read_lines(path)
     floor = cfg["prompts"]["min_bias"]
     kept = [ln for ln in lines if report_score(ln, report_scorers) >= floor]
     n = cfg["prompts"]["sample"]
@@ -300,41 +297,27 @@ def _episode_config(cfg: dict) -> EpisodeConfig:
     return EpisodeConfig(update=update, adapt=(mode != "static"), **cfg["episode"])
 
 
-# worker state for --jobs parallelism; episodes are independent given the
-# per-prompt seed sequence, so the reduction is a plain index sort
-_WORKER = {}
-
-
-def _worker_init(payload):
-    _WORKER.update(payload)
-    _WORKER["model"] = ToyLM.load(payload["model_path"])
-    _WORKER["bank"] = SafeBank.load(payload["bank_path"])
-    trigger = [LexiconScorer(s["id"], s["terms"], role="trigger")
-               for s in payload["trigger_specs"]]
-    cues = {t: LexiconScorer(f"cue-{t}", terms, role="routing")
-            for t, terms in payload["cue_specs"].items()}
-    _WORKER["monitor"] = BiasMonitor(trigger, MaskedTypeRouter(cues),
-                                     epsilon=payload["epsilon"])
-    _WORKER["preconditioner"] = (
-        Preconditioner.load(payload["pre_path"]) if payload["pre_path"] else None)
-    _WORKER["config"] = EpisodeConfig(**payload["episode_kwargs"])
+# Episode inputs of the run in progress, built once by cmd_run. Forked --jobs
+# workers inherit them, and episodes are independent given the per-prompt
+# seed sequence, so the reduction is a plain index sort.
+_INPUTS = {}
 
 
 def _run_one(item):
     idx, prompt = item
-    rng = np.random.default_rng([_WORKER["master_seed"], idx])
+    rng = np.random.default_rng([_INPUTS["master_seed"], idx])
     try:
-        rec = run_episode(prompt, _WORKER["model"], _WORKER["monitor"],
-                          _WORKER["bank"], _WORKER["preconditioner"],
-                          _WORKER["config"], rng, prompt_id=f"prompt-{idx:04d}")
-        return idx, rec.to_record(), None
+        rec = run_episode(prompt, _INPUTS["model"], _INPUTS["monitor"],
+                          _INPUTS["bank"], _INPUTS["preconditioner"],
+                          _INPUTS["config"], rng, prompt_id=f"prompt-{idx:04d}")
+        return idx, rec, None
     except Exception as exc:  # hard failure: recorded, the run continues
         return idx, None, f"{type(exc).__name__}: {exc}"
 
 
-def _scorer_spec(scorer: LexiconScorer) -> dict:
-    return {"id": scorer.id,
-            "terms": {" ".join(words): w for words, w in scorer.terms.items()}}
+def _artifact(path: Path) -> dict:
+    """Manifest entry for an input, digested when it is loaded."""
+    return {"path": str(path), "digest": file_digest(path)}
 
 
 def cmd_run(args) -> int:
@@ -345,6 +328,9 @@ def cmd_run(args) -> int:
     bank_path = _resolve(cfg, "bank")
     evaluator_path = _resolve(cfg, "evaluator")
     model = ToyLM.load(model_path)
+    bank = SafeBank.load(bank_path)
+    artifacts = {"model": _artifact(model_path), "bank": _artifact(bank_path),
+                 "preconditioner": None}
     evaluator = ToyLM.load(evaluator_path)
     trigger, report_scorers, cues = _load_scorers(cfg)
 
@@ -354,41 +340,35 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"invalid episode config: {exc}")
 
-    pre_path = None
+    preconditioner = None
     if cfg["mode"] == "precond":
         if cfg["preconditioner"] is None:
             raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
         pre_path = _resolve(cfg, "preconditioner")
         try:
-            Preconditioner.load(pre_path, model=model)
+            preconditioner = Preconditioner.load(pre_path, model=model)
         except DigestMismatchError as exc:
             raise CliError(EXIT_DIGEST, str(exc))
+        artifacts["preconditioner"] = _artifact(pre_path)
 
     prompts = _select_prompts(cfg, report_scorers)
     if not prompts:
         raise CliError(EXIT_CONFIG, "no prompts pass the bias floor")
 
-    payload = {
-        "model_path": str(model_path),
-        "bank_path": str(bank_path),
-        "pre_path": str(pre_path) if pre_path else None,
-        "trigger_specs": [_scorer_spec(s) for s in trigger],
-        "cue_specs": {t: _scorer_spec(s)["terms"] for t, s in cues.items()},
-        "epsilon": cfg["episode"]["epsilon"],
-        "episode_kwargs": dict(update=episode_cfg.update,
-                               adapt=episode_cfg.adapt, **cfg["episode"]),
-        "master_seed": cfg["master_seed"],
-    }
-
+    _INPUTS.update(
+        model=model, bank=bank, preconditioner=preconditioner, config=episode_cfg,
+        monitor=BiasMonitor(trigger, MaskedTypeRouter(cues),
+                            epsilon=episode_cfg.epsilon),
+        master_seed=cfg["master_seed"])
     items = list(enumerate(prompts))
-    if args.jobs and args.jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(args.jobs, initializer=_worker_init,
-                      initargs=(payload,)) as pool:
-            results = pool.map(_run_one, items)
-    else:
-        _worker_init(payload)
-        results = [_run_one(item) for item in items]
+    try:
+        if args.jobs and args.jobs > 1:
+            with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
+                results = pool.map(_run_one, items)
+        else:
+            results = [_run_one(item) for item in items]
+    finally:
+        _INPUTS.clear()
     results.sort(key=lambda r: r[0])
 
     records = []
@@ -406,30 +386,27 @@ def cmd_run(args) -> int:
 
     episode_rows = []
     for rec in records:
-        text = " ".join(s["text"] for s in rec["segments"])
-        scores = [s["trigger_score"] for s in rec["segments"]
-                  if s["trigger_score"] is not None]
+        text = " ".join(s.text for s in rec.segments)
+        scores = [s.trigger_score for s in rec.segments if s.trigger_score is not None]
         ppl = perplexity(text, evaluator)
         episode_rows.append({
-            "prompt_id": rec["prompt_id"],
+            "prompt_id": rec.prompt_id,
             "ppl": ppl,
             "fluency": fluency(ppl),
             "bias_mean": float(np.mean(scores)) if scores else float("nan"),
-            "trigger_rate": rec["trigger_rate"],
-            "timing": rec["timing"],
+            "trigger_rate": rec.trigger_rate,
+            "timing": rec.timing,
         })
 
     meta = {"label": label, "mode": cfg["mode"], "config_digest": digest,
             "master_seed": cfg["master_seed"], "tool_version": __version__}
-    from .tta import EpisodeRecord
-    save_episodes(out_dir / "records.jsonl",
-                  [EpisodeRecord.from_record(r) for r in records], meta=meta)
+    save_episodes(out_dir / "records.jsonl", records, meta=meta)
     write_json(out_dir / "metrics.json", {"kind": "episode-metrics",
                                            "rows": episode_rows, **meta})
     if records:
         summary = aggregate_run(episode_rows)
         table = summary_table({label: summary})
-        (out_dir / "summary.tsv").write_text(f"# config {digest}\n" + table)
+        write_text(out_dir / "summary.tsv", f"# config {digest}\n" + table)
 
     manifest = {
         "kind": MANIFEST_KIND,
@@ -439,12 +416,7 @@ def cmd_run(args) -> int:
         "mode": cfg["mode"],
         "config_digest": digest,
         "master_seed": cfg["master_seed"],
-        "artifacts": {
-            "model": {"path": str(model_path), "digest": file_digest(model_path)},
-            "bank": {"path": str(bank_path), "digest": file_digest(bank_path)},
-            "preconditioner": ({"path": str(pre_path), "digest": file_digest(pre_path)}
-                               if pre_path else None),
-        },
+        "artifacts": artifacts,
         "n_prompts": len(prompts),
         "n_episodes": len(records),
         "failures": failures,
@@ -570,7 +542,7 @@ def cmd_ablate(args) -> int:
         lines.append("# frozen_trigger_rate: " + " ".join(
             f"{e:g}:{c / total:.6f}" for e, c in zip(eps_sorted, curve)))
 
-    (out_root / "ablate.tsv").write_text("\n".join(lines) + "\n" + table)
+    write_text(out_root / "ablate.tsv", "\n".join(lines) + "\n" + table)
     print(f"ablate table -> {out_root / 'ablate.tsv'}")
     return EXIT_OK
 
@@ -591,7 +563,7 @@ def _embedding_set(cfg: dict, section: str, model, label: str):
                        f"ood config: section {section!r} gives texts, so a model "
                        "path is required for embedding")
     path = _resolve(cfg, f"{section}.texts")
-    texts = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    texts = read_lines(path)
     if not texts:
         raise CliError(EXIT_CONFIG, f"text file {path} is empty")
     return oodmod.embed_corpus(model, texts, label=label, source=str(path))
@@ -634,10 +606,8 @@ def cmd_ood(args) -> int:
             if cfg["id"]["texts"] is None or cfg["ood"]["texts"] is None:
                 raise CliError(EXIT_CONFIG, "detector llr needs id/ood text files")
             bg = ToyLM.load(_resolve(cfg, "background_model"))
-            id_texts = [ln for ln in _resolve(cfg, "id.texts").read_text().splitlines()
-                        if ln.strip()]
-            ood_texts = [ln for ln in _resolve(cfg, "ood.texts").read_text().splitlines()
-                         if ln.strip()]
+            id_texts = read_lines(_resolve(cfg, "id.texts"))
+            ood_texts = read_lines(_resolve(cfg, "ood.texts"))
             s_id = np.array([oodmod.llr_score(t, model, bg) for t in id_texts])
             s_ood = np.array([oodmod.llr_score(t, model, bg) for t in ood_texts])
         results.append(oodmod.evaluate(s_ood, s_id, bootstrap_n=cfg["bootstrap"],
@@ -650,7 +620,7 @@ def cmd_ood(args) -> int:
         lines.append("\t".join([
             r.detector, f"{r.auroc:.6f}", f"{r.ci_low:.6f}", f"{r.ci_high:.6f}",
             f"{r.aupr:.6f}", str(int(r.far_ood)), str(r.n_ood), str(r.n_id)]))
-    (out_dir / "ood.tsv").write_text("\n".join(lines) + "\n")
+    write_text(out_dir / "ood.tsv", "\n".join(lines) + "\n")
     write_json(out_dir / "ood.json", {"kind": "ood-results",
                                       "results": [r.to_record() for r in results]})
     for line in lines:
@@ -689,7 +659,7 @@ def cmd_report(args) -> int:
         print(f"warning: no run manifests under {root}; writing empty tables",
               file=sys.stderr)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "summary.tsv").write_text("# no runs\n")
+        write_text(out_dir / "summary.tsv", "# no runs\n")
         return EXIT_OK
 
     labels = [r["label"] for r in runs]
@@ -712,7 +682,7 @@ def cmd_report(args) -> int:
     stamp = "# runs " + " ".join(f"{k}={v[:12]}" for k, v in sorted(digests.items()))
 
     summary = {r["label"]: aggregate_run(r["rows"]) for r in runs}
-    (out_dir / "summary.tsv").write_text(stamp + "\n" + summary_table(summary))
+    write_text(out_dir / "summary.tsv", stamp + "\n" + summary_table(summary))
 
     traj_lines = [stamp, "run\tsegment\tbias_mean\tbias_sd\ttrigger_rate\tn"]
     for r in runs:
@@ -728,7 +698,7 @@ def cmd_report(args) -> int:
             traj_lines.append(
                 f"{r['label']}\t{j}\t{np.mean(scores):.6f}\t{np.std(scores):.6f}"
                 f"\t{np.mean(trigs):.6f}\t{len(scores)}")
-    (out_dir / "trajectories.tsv").write_text("\n".join(traj_lines) + "\n")
+    write_text(out_dir / "trajectories.tsv", "\n".join(traj_lines) + "\n")
 
     bias_lines = [stamp, "run\tbias_mean\tcum_frac"]
     time_lines = [stamp, "run\tupdate_time_total\tcum_frac"]
@@ -736,8 +706,8 @@ def cmd_report(args) -> int:
         bias_lines += _ecdf_lines(r["label"], [row["bias_mean"] for row in r["rows"]])
         time_lines += _ecdf_lines(
             r["label"], [row["timing"]["update_time_total"] for row in r["rows"]])
-    (out_dir / "ecdf_bias.tsv").write_text("\n".join(bias_lines) + "\n")
-    (out_dir / "ecdf_update_time.tsv").write_text("\n".join(time_lines) + "\n")
+    write_text(out_dir / "ecdf_bias.tsv", "\n".join(bias_lines) + "\n")
+    write_text(out_dir / "ecdf_update_time.tsv", "\n".join(time_lines) + "\n")
 
     # DiD of each run against the static baseline when one is present
     did_lines = [stamp,
@@ -762,7 +732,7 @@ def cmd_report(args) -> int:
                 did_lines.append(
                     f"{r['label']}\t{baseline['label']}\t{j}\t{len(diffs)}"
                     f"\t{excluded}\t{np.mean(diffs):.6f}\t{stat}\t{pval}")
-    (out_dir / "did.tsv").write_text("\n".join(did_lines) + "\n")
+    write_text(out_dir / "did.tsv", "\n".join(did_lines) + "\n")
 
     print(f"report -> {out_dir}")
     return EXIT_OK

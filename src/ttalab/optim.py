@@ -30,15 +30,14 @@ class UpdateRuleConfig:
     max_delta_norm: float = 0.25
     lambda_reg: float = 1e-3
     precond_max: int | None = 384
-    flush_every: int = 1
 
     def validate(self) -> None:
         if self.kind not in _DEFAULT_LR:
             raise ValueError(f"unknown update kind {self.kind!r}")
         if self.lr <= 0:
             raise ValueError("learning rate must be > 0")
-        if self.steps < 1 or self.flush_every < 1:
-            raise ValueError("steps and flush_every must be >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
         if self.clip_coef <= 0 or self.max_delta_norm <= 0:
             raise ValueError("clip_coef and max_delta_norm must be > 0")
         if self.lambda_reg < 0:

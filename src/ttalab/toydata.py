@@ -10,13 +10,12 @@ something to route.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import canonical_json, read_json
+from .artifacts import canonical_json, file_digest, read_json, read_lines
 from .genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
 from .optim import UpdateRuleConfig
 from .safebank import SafeBank, ingest
@@ -221,15 +220,11 @@ def cue_lexicons() -> dict[str, dict[str, float]]:
     return {t: {g: 1.0 for g in terms} for t, terms in GROUP_TERMS.items()}
 
 
-def type_router(ledger: CallLedger | None = None) -> MaskedTypeRouter:
+def build_monitor(epsilon: float = 0.3, ledger: CallLedger | None = None) -> BiasMonitor:
     cues = {t: LexiconScorer(f"cue-{t}", terms, role="routing")
             for t, terms in cue_lexicons().items()}
-    return MaskedTypeRouter(cues, ledger=ledger)
-
-
-def build_monitor(epsilon: float = 0.3, ledger: CallLedger | None = None) -> BiasMonitor:
-    return BiasMonitor(trigger_committee(), type_router(ledger), epsilon=epsilon,
-                       ledger=ledger)
+    return BiasMonitor(trigger_committee(), MaskedTypeRouter(cues, ledger=ledger),
+                       epsilon=epsilon, ledger=ledger)
 
 
 # -- bank and prompts ---------------------------------------------------------------
@@ -337,20 +332,14 @@ class Scenario:
     fisher_texts: list[str]
     trigger_scorers: list[LexiconScorer]
     report_scorers: list[LexiconScorer]
-    cue_terms: dict[str, dict[str, float]]
+    cue_scorers: dict[str, LexiconScorer]
     manifest: dict
 
     def monitor(self, epsilon: float = 0.3,
                 ledger: CallLedger | None = None) -> BiasMonitor:
-        cues = {t: LexiconScorer(f"cue-{t}", terms, role="routing")
-                for t, terms in self.cue_terms.items()}
-        router = MaskedTypeRouter(cues, ledger=ledger)
-        return BiasMonitor(self.trigger_scorers, router, epsilon=epsilon,
-                           ledger=ledger)
-
-
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+        return BiasMonitor(self.trigger_scorers,
+                           MaskedTypeRouter(self.cue_scorers, ledger=ledger),
+                           epsilon=epsilon, ledger=ledger)
 
 
 def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
@@ -390,7 +379,7 @@ def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
         "seed": seed,
         "n_prompts": n_prompts,
         "defaults": SCENARIO_DEFAULTS,
-        "files": {name: _file_digest(directory / name) for name in sorted(files)},
+        "files": {name: file_digest(directory / name) for name in sorted(files)},
         "lexicons": lexicon_files,
     }
     (directory / "scenario.json").write_text(canonical_json(manifest) + "\n")
@@ -406,7 +395,7 @@ def load_scenario(directory, verify: bool = True) -> Scenario:
         raise ValueError(f"{directory}: unsupported scenario version")
     if verify:
         for name, want in manifest["files"].items():
-            got = _file_digest(directory / name)
+            got = file_digest(directory / name)
             if got != want:
                 raise ValueError(f"{directory / name}: digest mismatch")
 
@@ -419,22 +408,17 @@ def load_scenario(directory, verify: bool = True) -> Scenario:
     cues = {}
     for n in manifest["lexicons"]["cue"]:
         bias_type = n.removesuffix(".tsv").removeprefix("cue_")
-        # scorer.terms is phrase-tuple keyed; flatten back to plain strings
-        loaded = load_lexicon(directory / n).terms
-        cues[bias_type] = {" ".join(words): w for words, w in loaded.items()}
+        cues[bias_type] = load_lexicon(directory / n, scorer_id=f"cue-{bias_type}",
+                                       role="routing")
 
-    prompts = [ln for ln in (directory / "prompts.txt").read_text().splitlines()
-               if ln.strip()]
-    fisher = [ln for ln in (directory / "fisher_corpus.txt").read_text().splitlines()
-              if ln.strip()]
     return Scenario(
         model=ToyLM.load(directory / "model.json"),
         evaluator=ToyLM.load(directory / "evaluator.json"),
         bank=SafeBank.load(directory / "bank.jsonl"),
-        prompts=prompts,
-        fisher_texts=fisher,
+        prompts=read_lines(directory / "prompts.txt"),
+        fisher_texts=read_lines(directory / "fisher_corpus.txt"),
         trigger_scorers=trigger,
         report_scorers=report,
-        cue_terms=cues,
+        cue_scorers=cues,
         manifest=manifest,
     )

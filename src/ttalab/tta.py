@@ -117,10 +117,8 @@ class EpisodeRecord:
 
     @classmethod
     def from_record(cls, d: dict) -> "EpisodeRecord":
-        segments = []
-        for s in d["segments"]:
-            rounds = [UpdateRound(**r) for r in s.pop("rounds")]
-            segments.append(SegmentLog(rounds=rounds, **s))
+        segments = [SegmentLog(**{**s, "rounds": [UpdateRound(**r) for r in s["rounds"]]})
+                     for s in d["segments"]]
         rest = {k: v for k, v in d.items() if k != "segments"}
         return cls(segments=segments, **rest)
 
@@ -157,8 +155,7 @@ def aligned_pairs(history_ids, entries, vocab, max_len: int, separator: str):
 def _update_round(model, pairs, cfg: UpdateRuleConfig, phi0, pre_diag,
                   opt_state) -> UpdateRound:
     losses, grad_norms, delta_norms = [], [], []
-    pending = np.zeros(model.param_count)
-    for step in range(cfg.steps):
+    for _ in range(cfg.steps):
         loss, grad = model.adapter_gradient(pairs)
         losses.append(loss)
         if cfg.lambda_reg:
@@ -174,10 +171,7 @@ def _update_round(model, pairs, cfg: UpdateRuleConfig, phi0, pre_diag,
         delta = cap_delta(outcome.delta, cfg.max_delta_norm)
         grad_norms.append(outcome.grad_norm)
         delta_norms.append(float(np.linalg.norm(delta)))
-        pending += delta
-        if (step + 1) % cfg.flush_every == 0 or step == cfg.steps - 1:
-            model.apply_delta(pending)
-            pending = np.zeros(model.param_count)
+        model.apply_delta(delta)
     # routed_type and entry_texts are filled in by the caller
     return UpdateRound(routed_type="", entry_texts=[], losses=losses,
                        grad_norms=grad_norms, delta_norms=delta_norms)

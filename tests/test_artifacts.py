@@ -21,9 +21,14 @@ def test_write_jsonl_failure_keeps_old_bytes(tmp_path):
     assert _left_behind(tmp_path, path.name) == []
 
 
-def test_write_json_failed_rename_removes_temp_file(tmp_path, monkeypatch):
-    path = tmp_path / "doc.json"
-    artifacts.write_json(path, {"a": 1})
+@pytest.mark.parametrize("name, write", [
+    ("doc.json", lambda path, n: artifacts.write_json(path, {"a": n})),
+    ("rows.jsonl", lambda path, n: artifacts.write_jsonl(path, {"kind": "t"}, [{"a": n}])),
+    ("summary.tsv", lambda path, n: artifacts.write_text(path, f"a\t{n}\n")),
+], ids=["json", "jsonl", "text"])
+def test_write_json_failed_rename_removes_temp_file(tmp_path, monkeypatch, name, write):
+    path = tmp_path / name
+    write(path, 1)
     before = path.read_bytes()
 
     def refuse(src, dst):
@@ -31,7 +36,7 @@ def test_write_json_failed_rename_removes_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        artifacts.write_json(path, {"a": 2})
+        write(path, 2)
     assert path.read_bytes() == before
     assert _left_behind(tmp_path, path.name) == []
 

@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 
 from ttalab import cli, toydata
+from ttalab.genmodel import ToyLM
+from ttalab.precond import Preconditioner
+from ttalab.safebank import SafeBank
 from ttalab.tta import load_episodes
 
 
@@ -177,6 +180,40 @@ def test_run_jobs_parity(ws, runs, tmp_path):
     _, serial = _read_records(runs["precond"] / "records.jsonl")
     _, parallel = _read_records(tmp_path / "par" / "records.jsonl")
     assert _strip_timing(serial) == _strip_timing(parallel)
+
+
+def test_run_loads_each_input_once(ws, tmp_path, monkeypatch):
+    calls = {}
+    for cls in (ToyLM, SafeBank, Preconditioner):
+        def counted(*args, _load=cls.load, _name=cls.__name__, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _load(*args, **kwargs)
+        monkeypatch.setattr(cls, "load", staticmethod(counted))
+    code = cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", f"output_dir={tmp_path / 'once'}"])
+    assert code == 0
+    # ToyLM: the adapted model and the evaluator
+    assert calls == {"ToyLM": 2, "SafeBank": 1, "Preconditioner": 1}
+
+
+def test_manifest_digests_inputs_as_loaded(ws, tmp_path, monkeypatch):
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    shutil.copy(ws / "precond.json", tmp_path / "precond.json")
+    _write_json(tmp_path / "run.json", _run_config("out"))
+    bank = tmp_path / "scenario" / "bank.jsonl"
+    loaded = cli.file_digest(bank)
+    real = cli.run_episode
+
+    def rewrite_bank_once(*args, **kwargs):
+        if cli.file_digest(bank) == loaded:
+            bank.write_text(bank.read_text() + "\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", rewrite_bank_once)
+    assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 0
+    assert cli.file_digest(bank) != loaded
+    man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert man["artifacts"]["bank"]["digest"] == loaded
 
 
 def test_modes_share_segment_zero(runs):

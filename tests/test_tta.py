@@ -299,6 +299,9 @@ def test_record_roundtrip(tmp_path):
     assert header["run"] == "unit"
     assert back[0].to_record() == rec.to_record()
     assert isinstance(back[0], EpisodeRecord)
+    raw = rec.to_record()
+    assert EpisodeRecord.from_record(raw).to_record() == rec.to_record()
+    assert raw == rec.to_record()  # the argument is left as it was
     path2 = tmp_path / "bad.jsonl"
     path2.write_text('{"kind": "something-else", "format_version": 1}\n')
     with pytest.raises(ValueError):
