@@ -7,18 +7,20 @@ wall-clock fields: `timing` in each records.jsonl record and metrics.json
 row, `update_time_mean`/`test_time_mean` in summary.tsv, and
 `wall_clock_seconds` in manifest.json.
 
-Exit codes: 0 ok, 2 configuration error, 3 artifact digest error,
-4 episode failure fraction exceeded.
+Exit codes: 0 ok, 2 configuration error or an input artifact that cannot
+be read, 3 artifact digest error, 4 episode failure fraction exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import multiprocessing
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,14 @@ EXIT_DIGEST = 3
 EXIT_FAILURES = 4
 
 MODES = ("static", "precond", "sgd", "adamw")
-ABLATE_AXES = ("epsilon", "segments", "seg_tokens", "multi_trigger", "update_kind")
+# ablate axis -> the run config key each of its values overrides
+ABLATE_AXES = {
+    "epsilon": "episode.epsilon",
+    "segments": "episode.k_segments",
+    "seg_tokens": "episode.tokens_per_segment",
+    "multi_trigger": "episode.multi_trigger",
+    "update_kind": "mode",
+}
 
 
 class CliError(RuntimeError):
@@ -59,6 +68,22 @@ class CliError(RuntimeError):
 # -- strict config handling ---------------------------------------------------------
 
 REQUIRED = object()
+
+
+def _dataclass_schema(cls) -> dict:
+    """(type, default) per field of `cls`, `X | None` read as X, leaving out
+    the fields that the run config's `mode` sets."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if f.name in ("update", "adapt", "kind"):
+            continue
+        typ = hints[f.name]
+        if type(None) in typing.get_args(typ):
+            (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
+        schema[f.name] = (typ, f.default)
+    return schema
+
 
 PRECOMPUTE_SCHEMA = {
     "model": (str, REQUIRED),
@@ -93,26 +118,8 @@ RUN_SCHEMA = {
         "sample": (int, None),
         "seed": (int, 0),
     },
-    "episode": {
-        "k_segments": (int, 4),
-        "tokens_per_segment": (int, 128),
-        "epsilon": (float, 0.3),
-        "safe_batch": (int, 2),
-        "multi_trigger": (bool, False),
-        "marker": (str, "[Continue the story]"),
-        "temperature": (float, 0.9),
-        "top_p": (float, 0.9),
-        "separator": (str, "<sep>"),
-        "max_len_update": (int, 256),
-    },
-    "update": {
-        "steps": (int, 10),
-        "learning_rate": (float, None),
-        "clip_coef": (float, 1.0),
-        "max_delta_norm": (float, 0.25),
-        "lambda_reg": (float, 1e-3),
-        "precond_max": (int, 384),
-    },
+    "episode": _dataclass_schema(EpisodeConfig),
+    "update": _dataclass_schema(UpdateRuleConfig),
 }
 
 OOD_SCHEMA = {
@@ -148,7 +155,8 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
             raise CliError(EXIT_CONFIG, f"missing required config key {path + key!r}")
         else:
             value = default
-        if value is not None:
+        # null is accepted only where it is the default
+        if value is not None or default is not None:
             if typ is float and isinstance(value, int) and not isinstance(value, bool):
                 value = float(value)
             if typ in (int, float) and isinstance(value, bool):
@@ -199,11 +207,15 @@ def _config_path(cfg: dict, value) -> Path:
     return p if p.is_absolute() else Path(cfg["_base_dir"]) / p
 
 
-def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
+def _config_value(cfg: dict, key_path: str):
     node = cfg
     for part in key_path.split("."):
         node = node[part]
-    p = _config_path(cfg, node)
+    return node
+
+
+def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
+    p = _config_path(cfg, _config_value(cfg, key_path))
     if must_exist and not p.exists():
         raise CliError(EXIT_CONFIG, f"config key {key_path!r}: no such file: {p}")
     return p
@@ -214,14 +226,25 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(clean).encode()).hexdigest()
 
 
+def _load(kind: str, load, path, **kwargs):
+    """`load(path, **kwargs)` for an input artifact: a digest mismatch exits
+    3, a file that cannot be read or parsed is a configuration error."""
+    try:
+        return load(path, **kwargs)
+    except DigestMismatchError as exc:
+        raise CliError(EXIT_DIGEST, str(exc))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(EXIT_CONFIG, f"{path}: not a readable {kind} artifact: {exc}")
+
+
 # -- precompute --------------------------------------------------------------------
 
 
 def cmd_precompute(args) -> int:
     cfg = load_config(args.config, PRECOMPUTE_SCHEMA, args.set or ())
-    model = ToyLM.load(_resolve(cfg, "model"))
+    model = _load("model", ToyLM.load, _resolve(cfg, "model"))
     corpus_path = _resolve(cfg, "corpus")
-    corpus = read_lines(corpus_path)
+    corpus = _load("corpus", read_lines, corpus_path)
     if not corpus:
         raise CliError(EXIT_CONFIG, f"corpus file {corpus_path} is empty")
 
@@ -255,23 +278,19 @@ def cmd_precompute(args) -> int:
 
 
 def _load_scorers(cfg: dict):
+    def lexicon(value, role, scorer_id=None):
+        p = _config_path(cfg, value)
+        return _load("lexicon", load_lexicon, p, scorer_id=scorer_id or p.stem, role=role)
+
     lex = cfg["lexicons"]
-    trig_paths = [_config_path(cfg, p) for p in lex["trigger"]]
-    rep_paths = [_config_path(cfg, p) for p in lex["report"]]
-    cue_paths = {t: _config_path(cfg, p) for t, p in lex["cue"].items()}
-    for group in (*trig_paths, *rep_paths, *cue_paths.values()):
-        if not group.exists():
-            raise CliError(EXIT_CONFIG, f"lexicon file not found: {group}")
-    trigger = [load_lexicon(p, scorer_id=p.stem, role="trigger") for p in trig_paths]
-    report = [load_lexicon(p, scorer_id=p.stem, role="report") for p in rep_paths]
-    cues = {t: load_lexicon(p, scorer_id=f"cue-{t}", role="routing")
-            for t, p in cue_paths.items()}
-    return trigger, report, cues
+    return ([lexicon(p, "trigger") for p in lex["trigger"]],
+            [lexicon(p, "report") for p in lex["report"]],
+            {t: lexicon(p, "routing", f"cue-{t}") for t, p in lex["cue"].items()})
 
 
 def _select_prompts(cfg: dict, report_scorers) -> list[str]:
     path = _resolve(cfg, "prompts.path")
-    lines = read_lines(path)
+    lines = _load("prompt", read_lines, path)
     floor = cfg["prompts"]["min_bias"]
     kept = [ln for ln in lines if report_score(ln, report_scorers) >= floor]
     n = cfg["prompts"]["sample"]
@@ -287,14 +306,19 @@ def _select_prompts(cfg: dict, report_scorers) -> list[str]:
 
 
 def _episode_config(cfg: dict) -> EpisodeConfig:
+    """The validated episode config of a parsed run config."""
     mode = cfg["mode"]
     if mode not in MODES:
         raise CliError(EXIT_CONFIG, f"mode must be one of {MODES}, got {mode!r}")
-    upd = dict(cfg["update"])
-    lr = upd.pop("learning_rate")
     update = UpdateRuleConfig(kind=mode if mode != "static" else "precond",
-                              learning_rate=lr, **upd)
-    return EpisodeConfig(update=update, adapt=(mode != "static"), **cfg["episode"])
+                              **cfg["update"])
+    episode_cfg = EpisodeConfig(update=update, adapt=(mode != "static"),
+                                **cfg["episode"])
+    try:
+        episode_cfg.validate()
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"invalid episode config: {exc}")
+    return episode_cfg
 
 
 # Episode inputs of the run in progress, built once by cmd_run. Forked --jobs
@@ -327,28 +351,22 @@ def cmd_run(args) -> int:
     model_path = _resolve(cfg, "model")
     bank_path = _resolve(cfg, "bank")
     evaluator_path = _resolve(cfg, "evaluator")
-    model = ToyLM.load(model_path)
-    bank = SafeBank.load(bank_path)
+    model = _load("model", ToyLM.load, model_path)
+    bank = _load("safe-bank", SafeBank.load, bank_path)
     artifacts = {"model": _artifact(model_path), "bank": _artifact(bank_path),
                  "preconditioner": None}
-    evaluator = ToyLM.load(evaluator_path)
+    evaluator = _load("model", ToyLM.load, evaluator_path)
     trigger, report_scorers, cues = _load_scorers(cfg)
 
     episode_cfg = _episode_config(cfg)
-    try:
-        episode_cfg.validate()
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"invalid episode config: {exc}")
 
     preconditioner = None
     if cfg["mode"] == "precond":
         if cfg["preconditioner"] is None:
             raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
         pre_path = _resolve(cfg, "preconditioner")
-        try:
-            preconditioner = Preconditioner.load(pre_path, model=model)
-        except DigestMismatchError as exc:
-            raise CliError(EXIT_DIGEST, str(exc))
+        preconditioner = _load("preconditioner", Preconditioner.load, pre_path,
+                               model=model)
         artifacts["preconditioner"] = _artifact(pre_path)
 
     prompts = _select_prompts(cfg, report_scorers)
@@ -457,67 +475,50 @@ def load_manifest(path) -> dict:
 # -- ablate ------------------------------------------------------------------------
 
 
-def _parse_axis_values(axis: str, raw: str):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise CliError(EXIT_CONFIG, "--values must be a non-empty comma list")
-    try:
-        if axis == "epsilon":
-            return [float(p) for p in parts]
-        if axis in ("segments", "seg_tokens"):
-            return [int(p) for p in parts]
-        if axis == "multi_trigger":
-            if any(p not in ("true", "false") for p in parts):
-                raise ValueError("expected true/false")
-            return [p == "true" for p in parts]
-        if axis == "update_kind":
-            bad = [p for p in parts if p not in MODES]
-            if bad:
-                raise ValueError(f"unknown update kinds {bad}")
-            return parts
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"bad --values for axis {axis}: {exc}")
-    raise CliError(EXIT_CONFIG, f"axis must be one of {ABLATE_AXES}, got {axis!r}")
+def _ablate_point(args, raw: str, total_tokens: int):
+    """(tag, value, run overrides) for one raw ablate value.
+
+    The value goes in as a --set override of the axis's config key, so it is
+    typed and validated like any other config value."""
+    key = ABLATE_AXES[args.axis]
+    overrides = [*(args.set or ()), f"{key}={raw}"]
+    cfg = load_config(args.config, RUN_SCHEMA, overrides)
+    _episode_config(cfg)
+    value = _config_value(cfg, key)
+    if args.axis == "segments":
+        # the total token budget stays fixed
+        if total_tokens % value:
+            raise CliError(EXIT_CONFIG,
+                           f"segments={value} does not divide the total token "
+                           f"budget {total_tokens}")
+        overrides.append(f"episode.tokens_per_segment={total_tokens // value}")
+        _episode_config(load_config(args.config, RUN_SCHEMA, overrides))
+    tag = f"{args.axis}={value}"
+    return tag, value, overrides
 
 
 def cmd_ablate(args) -> int:
-    values = _parse_axis_values(args.axis, args.values)
+    raws = [p.strip() for p in args.values.split(",") if p.strip()]
+    if not raws:
+        raise CliError(EXIT_CONFIG, "--values must be a non-empty comma list")
     base_cfg = load_config(args.config, RUN_SCHEMA, args.set or ())
     out_root = _resolve(base_cfg, "output_dir", must_exist=False)
-    out_root.mkdir(parents=True, exist_ok=True)
-
     total_tokens = (base_cfg["episode"]["k_segments"]
                     * base_cfg["episode"]["tokens_per_segment"])
-    rows = []
-    for value in values:
-        overrides = list(args.set or ())
-        tag = f"{args.axis}={value}"
-        if args.axis == "epsilon":
-            overrides.append(f"episode.epsilon={value}")
-        elif args.axis == "segments":
-            if total_tokens % value:
-                raise CliError(EXIT_CONFIG,
-                               f"segments={value} does not divide the total token "
-                               f"budget {total_tokens}")
-            overrides.append(f"episode.k_segments={value}")
-            overrides.append(f"episode.tokens_per_segment={total_tokens // value}")
-        elif args.axis == "seg_tokens":
-            overrides.append(f"episode.tokens_per_segment={value}")
-        elif args.axis == "multi_trigger":
-            overrides.append(f"episode.multi_trigger={'true' if value else 'false'}")
-        elif args.axis == "update_kind":
-            overrides.append(f"mode={value}")
-        overrides.append(f"output_dir={out_root / tag}")
-        overrides.append(f"label={tag}")
+    # every value is checked before the first run writes anything
+    points = [_ablate_point(args, raw, total_tokens) for raw in raws]
 
-        sub = argparse.Namespace(config=args.config, set=overrides, jobs=args.jobs)
+    rows = []
+    for tag, _, overrides in points:
+        sub = argparse.Namespace(config=args.config, jobs=args.jobs,
+                                 set=[*overrides, f"output_dir={out_root / tag}",
+                                      f"label={tag}"])
         code = cmd_run(sub)
         if code != EXIT_OK:
             return code
-        man = load_manifest(out_root / tag / "manifest.json")
+        load_manifest(out_root / tag / "manifest.json")
         metrics_doc = read_json(out_root / tag / "metrics.json")
-        summary = aggregate_run(metrics_doc["rows"])
-        rows.append((tag, summary))
+        rows.append((tag, aggregate_run(metrics_doc["rows"])))
 
     table = summary_table(dict(rows))
     lines = [f"# ablate axis={args.axis} values={args.values}"]
@@ -525,10 +526,8 @@ def cmd_ablate(args) -> int:
     if args.axis == "epsilon":
         # frozen-trajectory scoring: one static pass, shared master seed, then
         # trigger rates recomputed per threshold from the fixed segment scores
-        frozen_over = list(args.set or ())
-        frozen_over.append("mode=static")
-        frozen_over.append(f"output_dir={out_root / 'frozen-static'}")
-        frozen_over.append("label=frozen-static")
+        frozen_over = [*(args.set or ()), "mode=static", "label=frozen-static",
+                       f"output_dir={out_root / 'frozen-static'}"]
         code = cmd_run(argparse.Namespace(config=args.config, set=frozen_over,
                                           jobs=args.jobs))
         if code != EXIT_OK:
@@ -536,7 +535,7 @@ def cmd_ablate(args) -> int:
         _, recs = load_episodes(out_root / "frozen-static" / "records.jsonl")
         scores = [s.trigger_score for rec in recs for s in rec.segments
                   if s.trigger_score is not None]
-        eps_sorted = sorted(values)
+        eps_sorted = sorted(value for _, value, _ in points)
         curve = trigger_curve(scores, eps_sorted)
         total = len(scores)
         lines.append("# frozen_trigger_rate: " + " ".join(
@@ -648,10 +647,12 @@ def cmd_report(args) -> int:
         manifest_paths.insert(0, root / "manifest.json")
     runs = []
     for mp in manifest_paths:
-        man = load_manifest(mp)
+        man = _load("run manifest", load_manifest, mp)
         base = mp.parent
-        _, records = load_episodes(base / man["outputs"]["records"])
-        metrics_doc = read_json(base / man["outputs"]["metrics"])
+        _, records = _load("episode-records", load_episodes,
+                           base / man["outputs"]["records"])
+        metrics_doc = _load("episode-metrics", read_json,
+                            base / man["outputs"]["metrics"])
         runs.append({"label": man["label"], "manifest": man,
                      "records": records, "rows": metrics_doc["rows"]})
 

@@ -29,7 +29,6 @@ class UpdateRuleConfig:
     clip_coef: float = 1.0
     max_delta_norm: float = 0.25
     lambda_reg: float = 1e-3
-    precond_max: int | None = 384
 
     def validate(self) -> None:
         if self.kind not in _DEFAULT_LR:

@@ -160,13 +160,20 @@ class Preconditioner:
         if pre.diag.size != d["n"]:
             raise ValueError(f"{path}: stored n={d['n']} but diagonal has {pre.diag.size}")
         if model is not None:
-            if meta.get("model_digest") != model.model_digest():
-                raise DigestMismatchError(
-                    f"{path}: preconditioner was built for a different model")
-            if pre.n != model.param_count:
-                raise DigestMismatchError(
-                    f"{path}: n={pre.n} != model parameter count {model.param_count}")
+            try:
+                pre.check_model(model)
+            except DigestMismatchError as exc:
+                raise DigestMismatchError(f"{path}: {exc}") from None
         return pre
+
+    def check_model(self, model) -> None:
+        """Raise DigestMismatchError unless this preconditioner was estimated
+        for `model` (its size, then its base-weight digest)."""
+        if self.n != model.param_count:
+            raise DigestMismatchError(
+                f"n={self.n} != model parameter count {model.param_count}")
+        if self.meta.get("model_digest") != model.model_digest():
+            raise DigestMismatchError("preconditioner was built for a different model")
 
 
 def build_preconditioner(estimate: FisherDiagEstimate,

@@ -4,7 +4,7 @@ type-routed safe-batch updates and a per-episode drift ledger.
 One episode serves one prompt. Segments are generated in sequence; each is
 scored by the trigger committee, and a score strictly above epsilon starts
 an update round: sample m safe entries for the dominant bias type, align
-them behind the truncated history, and take `steps` update-rule iterations
+them behind the generated history, and take `steps` update-rule iterations
 (clip the gradient, step, cap the step). The adapter always starts the
 episode at phi0 and the episode never touches the base weights or the bank.
 Wall-clock numbers live only under the record's `timing` key so that
@@ -30,7 +30,6 @@ from .optim import (
     precond_step,
     sgd_step,
 )
-from .precond import DigestMismatchError
 from .safebank import BankExhaustedError, DEFAULT_SEPARATOR, sample_safe_batch
 from .scoring import ScoringError, should_trigger
 
@@ -51,7 +50,6 @@ class EpisodeConfig:
     temperature: float = 0.9
     top_p: float = 0.9
     separator: str = DEFAULT_SEPARATOR
-    max_len_update: int = 256
     adapt: bool = True
 
     def validate(self) -> None:
@@ -61,20 +59,12 @@ class EpisodeConfig:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.safe_batch < 1:
             raise ValueError("safe batch size must be >= 1")
-        if self.max_len_update < 1:
-            raise ValueError("max_len_update must be >= 1")
         self.settings().validate()
         self.update.validate()
 
     def settings(self) -> GenerationSettings:
         return GenerationSettings(temperature=self.temperature, top_p=self.top_p,
                                   tokens_per_segment=self.tokens_per_segment)
-
-    def align_limit(self) -> int:
-        # the preconditioned rule affords a longer aligned context
-        if self.update.kind == "precond" and self.update.precond_max:
-            return self.update.precond_max
-        return self.max_len_update
 
 
 @dataclass
@@ -139,16 +129,18 @@ def _split_rng(rng):
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def aligned_pairs(history_ids, entries, vocab, max_len: int, separator: str):
-    """(context, target) token pairs: history tail + separator -> entry."""
-    tail = list(history_ids)[-max_len:]
-    sep_ids = vocab.encode(separator)
+def aligned_pairs(history_ids, entries, vocab, separator: str):
+    """(context, target) token pairs: history + separator -> entry.
+
+    The whole history goes in; the likelihood kernel reads only its last
+    `context_window` tokens."""
+    context = list(history_ids) + vocab.encode(separator)
     pairs = []
     for entry in entries:
         target = vocab.encode(entry.text)
         if not target:
             raise ValueError(f"safe entry decodes to no tokens: {entry.text!r}")
-        pairs.append((tail + sep_ids, target))
+        pairs.append((context, target))
     return pairs
 
 
@@ -196,11 +188,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
     if config.adapt and cfg.kind == "precond":
         if preconditioner is None:
             raise ValueError("the preconditioned rule needs a preconditioner")
-        stored = preconditioner.meta.get("model_digest")
-        if preconditioner.n != model.param_count or (
-                stored is not None and stored != model.model_digest()):
-            raise DigestMismatchError(
-                "preconditioner was estimated for a different model state")
+        preconditioner.check_model(model)
         pre_diag = preconditioner.diag
 
     gen_rng, bank_rng = _split_rng(rng)
@@ -256,8 +244,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
                     flags.append("bank_empty")
                     episode_flags.append("bank_empty")
                     continue
-                pairs = aligned_pairs(history, entries, model.vocab,
-                                      config.align_limit(), config.separator)
+                pairs = aligned_pairs(history, entries, model.vocab, config.separator)
                 round_log = _update_round(model, pairs, cfg, phi0, pre_diag,
                                           opt_state)
                 round_log.routed_type = rtype

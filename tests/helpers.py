@@ -145,8 +145,9 @@ def brute_force_fisher(model, context, length):
 
 
 def context_align(history, entry_text, max_len_update=256, separator=DEFAULT_SEPARATOR):
-    """String twin of tta.aligned_pairs: history tail (left-truncated to
-    max_len_update tokens) + separator + entry text."""
+    """String alignment: history tail (left-truncated to max_len_update
+    tokens) + separator + entry text. At the default it is the string twin
+    of tta.aligned_pairs for any history shorter than 256 tokens."""
     if isinstance(history, str):
         words = history.split()
     else:

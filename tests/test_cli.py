@@ -17,9 +17,10 @@ import pytest
 
 from ttalab import cli, toydata
 from ttalab.genmodel import ToyLM
+from ttalab.optim import UpdateRuleConfig
 from ttalab.precond import Preconditioner
 from ttalab.safebank import SafeBank
-from ttalab.tta import load_episodes
+from ttalab.tta import EpisodeConfig, load_episodes
 
 
 def _write_json(path, doc):
@@ -263,11 +264,26 @@ def test_set_overrides_change_digest(ws, runs, tmp_path):
 # -- exit code 2: configuration errors -----------------------------------------
 
 
-def test_unknown_config_key(ws, tmp_path):
+@pytest.mark.parametrize("key", ["modell", "episode.max_len_update",
+                                 "update.precond_max"])
+def test_unknown_config_key(ws, tmp_path, key):
     bad = _run_config(str(tmp_path / "o"))
-    bad["modell"] = bad.pop("model")
+    overrides = []
+    if key == "modell":
+        bad["modell"] = bad.pop("model")
+    else:
+        overrides = ["--set", f"{key}=4"]
     _write_json(ws / "bad_key.json", bad)
-    assert cli.main(["run", "--config", str(ws / "bad_key.json")]) == 2
+    assert cli.main(["run", "--config", str(ws / "bad_key.json"), *overrides]) == 2
+
+
+def test_cli_defaults_are_library_defaults(tmp_path):
+    doc = _run_config(str(tmp_path / "o"))
+    del doc["episode"], doc["update"]
+    _write_json(tmp_path / "defaults.json", doc)
+    cfg = cli.load_config(tmp_path / "defaults.json", cli.RUN_SCHEMA)
+    assert cli._episode_config(cfg) == EpisodeConfig(
+        update=UpdateRuleConfig(kind="precond"))
 
 
 def test_missing_required_key(ws, tmp_path):
@@ -355,6 +371,12 @@ def test_bool_rejected_for_numeric_key(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
                      "--set", "episode.epsilon=true"]) == 2
+
+
+def test_null_rejected_where_default_is_not_null(ws, tmp_path):
+    assert cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", "episode.epsilon=null"]) == 2
 
 
 # -- exit code 3: digest errors -------------------------------------------------
@@ -483,11 +505,19 @@ def test_ablate_segments_divisibility_error(ws):
     assert code == 2
 
 
-def test_ablate_bad_values_string(ws):
+@pytest.mark.parametrize("axis,values", [
+    ("epsilon", "0.2,oops"),
+    ("epsilon", "0.2,1.5"),
+    ("seg_tokens", "4,0"),
+    ("segments", "0"),
+])
+def test_ablate_bad_values_string(ws, tmp_path, axis, values):
+    out = tmp_path / "ablate_bad"
     code = cli.main(["ablate", "--config", str(ws / "run.json"),
-                     "--axis", "epsilon", "--values", "0.2,oops",
-                     "--set", "output_dir=ablate_bad2"])
+                     "--axis", axis, "--values", values,
+                     "--set", f"output_dir={out}"])
     assert code == 2
+    assert not out.exists()
 
 
 # -- ood --------------------------------------------------------------------------
@@ -610,6 +640,29 @@ def test_report_empty_dir(tmp_path, capsys):
 
 def test_report_missing_dir(tmp_path):
     assert cli.main(["report", str(tmp_path / "nope")]) == 2
+
+
+@pytest.mark.parametrize("name,keep", [
+    ("scenario/bank.jsonl", 100),
+    ("scenario/model.json", 100),
+    ("precond.json", 100),
+    ("runs/precond/manifest.json", 50),
+    ("runs/precond/records.jsonl", 300),
+])
+def test_unreadable_artifact_is_config_error(ws, runs, tmp_path, capsys, name, keep):
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    shutil.copy(ws / "precond.json", tmp_path / "precond.json")
+    shutil.copytree(runs["precond"], tmp_path / "runs" / "precond")
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes()[:keep])
+    if name.startswith("runs/"):
+        code = cli.main(["report", str(tmp_path / "runs")])
+    else:
+        _write_json(tmp_path / "run.json", _run_config("out"))
+        code = cli.main(["run", "--config", str(tmp_path / "run.json")])
+    assert code == 2
+    assert f"{path}: not a readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_duplicate_labels(runs, tmp_path):

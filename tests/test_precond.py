@@ -187,6 +187,22 @@ def test_precond_roundtrip_and_digest_guard(tmp_path):
         Preconditioner.load(path, model=other)
 
 
+def test_check_model_needs_matching_size_and_digest(monkeypatch):
+    model = tiny_model(seed=21)
+    est = estimate_diag_fisher(model, ["w0 w1"], n_steps=2, batch_size=2,
+                               continuation_tokens=2, seed=1)
+    pre = build_preconditioner(est, damping=1e-4)
+    pre.check_model(model)
+    del pre.meta["model_digest"]
+    with pytest.raises(DigestMismatchError, match="different model"):
+        pre.check_model(model)
+    # a wrong size fails before the model is digested
+    small = build_preconditioner(fake_estimate(np.ones(3)), damping=1e-4)
+    monkeypatch.setattr(ToyLM, "model_digest", lambda self: pytest.fail("digested"))
+    with pytest.raises(DigestMismatchError, match="parameter count"):
+        small.check_model(model)
+
+
 def test_precond_load_rejects_wrong_kind(tmp_path):
     p = tmp_path / "x.json"
     p.write_text('{"kind": "other"}')

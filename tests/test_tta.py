@@ -123,14 +123,6 @@ def test_config_validation():
         cfg.validate()
 
 
-def test_align_limit_depends_on_rule():
-    cfg = small_config()
-    cfg.update.kind = "precond"
-    assert cfg.align_limit() == cfg.update.precond_max
-    cfg.update.kind = "sgd"
-    assert cfg.align_limit() == cfg.max_len_update
-
-
 def test_trigger_curve_monotone():
     scores = [0.70, 0.29, 0.32, 0.29]
     eps_grid = np.linspace(0.0, 1.0, 21)
@@ -260,6 +252,15 @@ def test_digest_guard_rejects_foreign_preconditioner():
     run_episode("calm walk", model, trigger_monitor(), safe_bank(), None, cfg, rng=3)
 
 
+def test_digest_guard_rejects_preconditioner_naming_no_model():
+    model = biased_model(seed=0)
+    pre = fitted_preconditioner(model)
+    del pre.meta["model_digest"]
+    with pytest.raises(DigestMismatchError):
+        run_episode("calm walk", model, trigger_monitor(), safe_bank(), pre,
+                    small_config(), rng=3)
+
+
 def test_reset_restores_probe_perplexity():
     model = biased_model()
     probes = NEUTRAL * 3 + ["calm sun", "walk walk river"]  # 17 probes, plenty
@@ -279,12 +280,10 @@ def test_aligned_pairs_matches_string_alignment():
     model = biased_model()
     history = model.vocab.encode("calm tree river walk sun tree calm")
     entry = SafeEntry(text="river calm sun", type="race", score=0.0)
-    pairs = aligned_pairs(history, [entry], model.vocab, max_len=4,
-                          separator="<sep>")
+    pairs = aligned_pairs(history, [entry], model.vocab, separator="<sep>")
     ctx, tgt = pairs[0]
     joined = model.vocab.decode(ctx) + " " + model.vocab.decode(tgt)
-    want = context_align("calm tree river walk sun tree calm", entry.text,
-                         max_len_update=4)
+    want = context_align("calm tree river walk sun tree calm", entry.text)
     assert joined == want
 
 
