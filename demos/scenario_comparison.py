@@ -34,9 +34,9 @@ configs = {
     "always-on (eps=0.0)": toydata.default_config(epsilon=0.0),
 }
 
+monitor = toydata.build_monitor()
 print("%-22s %8s %8s %10s" % ("config", "bias", "ppl", "triggered"))
 for name, cfg in configs.items():
-    monitor = toydata.build_monitor(epsilon=cfg.epsilon)
     scores, ppls, triggered = [], [], 0
     for i, prompt in enumerate(prompts):
         rec = run_episode(prompt, model, monitor, bank, pre, cfg,

@@ -19,7 +19,7 @@ est = estimate_diag_fisher(model, toydata.fisher_corpus(seed=0),
                            continuation_tokens=fc["continuation_tokens"])
 pre = build_preconditioner(est, damping=fc["damping"])
 bank = toydata.build_bank(seed=0)
-monitor = toydata.build_monitor(epsilon=0.3)
+monitor = toydata.build_monitor()
 config = toydata.default_config()
 
 prompt = toydata.bias_prompts(seed=0, n=5)[0]

@@ -42,6 +42,9 @@ from .tta import EpisodeConfig, load_episodes, run_episode, save_episodes, trigg
 
 MANIFEST_KIND = "run-manifest"
 MANIFEST_VERSION = 1
+# the manifest keys that `report` reads
+MANIFEST_KEYS = ("label", "mode", "config_digest", "outputs.records",
+                 "outputs.metrics", "artifacts.model.digest", "artifacts.bank.digest")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -283,6 +286,9 @@ def _load_scorers(cfg: dict):
         return _load("lexicon", load_lexicon, p, scorer_id=scorer_id or p.stem, role=role)
 
     lex = cfg["lexicons"]
+    for role in ("trigger", "report"):
+        if not lex[role]:
+            raise CliError(EXIT_CONFIG, f"lexicons.{role} needs at least one lexicon")
     return ([lexicon(p, "trigger") for p in lex["trigger"]],
             [lexicon(p, "report") for p in lex["report"]],
             {t: lexicon(p, "routing", f"cue-{t}") for t, p in lex["cue"].items()})
@@ -375,8 +381,7 @@ def cmd_run(args) -> int:
 
     _INPUTS.update(
         model=model, bank=bank, preconditioner=preconditioner, config=episode_cfg,
-        monitor=BiasMonitor(trigger, MaskedTypeRouter(cues),
-                            epsilon=episode_cfg.epsilon),
+        monitor=BiasMonitor(trigger, MaskedTypeRouter(cues)),
         master_seed=cfg["master_seed"])
     items = list(enumerate(prompts))
     try:
@@ -459,6 +464,8 @@ def load_manifest(path) -> dict:
         raise CliError(EXIT_CONFIG, f"{path}: not a run manifest")
     if d.get("format_version") != MANIFEST_VERSION:
         raise CliError(EXIT_CONFIG, f"{path}: unsupported manifest version")
+    for key in MANIFEST_KEYS:
+        _config_value(d, key)  # a KeyError names the missing key
     for name, entry in d["artifacts"].items():
         if entry is None:
             continue
@@ -470,6 +477,10 @@ def load_manifest(path) -> dict:
             raise CliError(EXIT_DIGEST,
                            f"{path}: artifact {name} at {p} changed since the run")
     return d
+
+
+def load_metric_rows(path) -> list[dict]:
+    return read_json(path)["rows"]
 
 
 # -- ablate ------------------------------------------------------------------------
@@ -507,6 +518,9 @@ def cmd_ablate(args) -> int:
                     * base_cfg["episode"]["tokens_per_segment"])
     # every value is checked before the first run writes anything
     points = [_ablate_point(args, raw, total_tokens) for raw in raws]
+    tags = [tag for tag, _, _ in points]
+    if len(set(tags)) < len(tags):
+        raise CliError(EXIT_CONFIG, f"--values repeats a value: {', '.join(tags)}")
 
     rows = []
     for tag, _, overrides in points:
@@ -517,8 +531,7 @@ def cmd_ablate(args) -> int:
         if code != EXIT_OK:
             return code
         load_manifest(out_root / tag / "manifest.json")
-        metrics_doc = read_json(out_root / tag / "metrics.json")
-        rows.append((tag, aggregate_run(metrics_doc["rows"])))
+        rows.append((tag, aggregate_run(load_metric_rows(out_root / tag / "metrics.json"))))
 
     table = summary_table(dict(rows))
     lines = [f"# ablate axis={args.axis} values={args.values}"]
@@ -651,10 +664,10 @@ def cmd_report(args) -> int:
         base = mp.parent
         _, records = _load("episode-records", load_episodes,
                            base / man["outputs"]["records"])
-        metrics_doc = _load("episode-metrics", read_json,
-                            base / man["outputs"]["metrics"])
+        rows = _load("episode-metrics", load_metric_rows,
+                     base / man["outputs"]["metrics"])
         runs.append({"label": man["label"], "manifest": man,
-                     "records": records, "rows": metrics_doc["rows"]})
+                     "records": records, "rows": rows})
 
     if not runs:
         print(f"warning: no run manifests under {root}; writing empty tables",

@@ -9,7 +9,6 @@ an enumerable model is oracle.SequenceSpace.fisher_diag.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,49 +197,3 @@ def build_preconditioner(estimate: FisherDiagEstimate,
             "empirical": estimate.empirical,
         },
     )
-
-
-@dataclass
-class StabilityReport:
-    ok: bool
-    fraction_ok: float
-    worst_ratio_high: float
-    worst_ratio_low: float
-    violations: list
-
-
-def check_fisher_stability(reference_diag: np.ndarray, per_context_diag: np.ndarray,
-                           rho: float, required_fraction: float = 0.9,
-                           zero_tol: float = 1e-15) -> StabilityReport:
-    """Entrywise band check: (1-rho)*ref <= I(x) <= (1+rho)*ref per context.
-
-    Entries where both sides are zero (below zero_tol) count as satisfied.
-    Reports the fraction of contexts fully inside the band and the worst
-    entrywise ratios observed over entries with a nonzero reference.
-    """
-    ref = np.asarray(reference_diag, dtype=np.float64)
-    ctxs = np.atleast_2d(np.asarray(per_context_diag, dtype=np.float64))
-    lo, hi = (1.0 - rho) * ref, (1.0 + rho) * ref
-    ref_zero = ref <= zero_tol
-
-    ok_rows = []
-    violations = []
-    worst_high, worst_low = 0.0, math.inf
-    for i, row in enumerate(ctxs):
-        row_zero = row <= zero_tol
-        both_zero = ref_zero & row_zero
-        ok_entry = both_zero | ((row >= lo - zero_tol) & (row <= hi + zero_tol))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(ref_zero, np.where(row_zero, 1.0, math.inf), row / ref)
-        worst_high = max(worst_high, float(np.max(ratios)))
-        worst_low = min(worst_low, float(np.min(ratios)))
-        row_ok = bool(np.all(ok_entry))
-        ok_rows.append(row_ok)
-        if not row_ok:
-            bad = int(np.argmax(~ok_entry))
-            violations.append({"context": i, "entry": bad,
-                               "ratio": float(ratios[bad])})
-    fraction = float(np.mean(ok_rows)) if ok_rows else 1.0
-    return StabilityReport(ok=fraction >= required_fraction, fraction_ok=fraction,
-                           worst_ratio_high=worst_high, worst_ratio_low=worst_low,
-                           violations=violations)

@@ -116,7 +116,11 @@ def _clamp(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
-def _scorer_outputs(text, scorers, role, ledger):
+def committee_score(text: str, scorers, ledger: CallLedger | None = None,
+                    role: str = "trigger") -> float:
+    """Arithmetic mean of clamped scorer outputs.
+
+    math.fsum keeps the mean bit-identical under scorer reordering."""
     if not scorers:
         raise ValueError("committee needs at least one scorer")
     out = {}
@@ -124,15 +128,6 @@ def _scorer_outputs(text, scorers, role, ledger):
         if ledger is not None:
             ledger.record(sc.id, role)
         out[sc.id] = _clamp(sc.score(text))
-    return out
-
-
-def committee_score(text: str, scorers, ledger: CallLedger | None = None,
-                    role: str = "trigger") -> float:
-    """Arithmetic mean of clamped scorer outputs.
-
-    math.fsum keeps the mean bit-identical under scorer reordering."""
-    out = _scorer_outputs(text, scorers, role, ledger)
     return math.fsum(out.values()) / len(out)
 
 
@@ -172,28 +167,8 @@ def route_types(type_scores: dict[str, float], epsilon: float) -> RoutingResult:
     return RoutingResult(scores=scores, triggered=triggered, dominant=dominant)
 
 
-class TypeRouter:
-    """Routing wiring (a): one independent scorer per type."""
-
-    def __init__(self, scorers_by_type: dict[str, object], ledger: CallLedger | None = None):
-        missing = [t for t in TYPE_ORDER if t not in scorers_by_type]
-        if missing:
-            raise ValueError(f"router needs scorers for {missing}")
-        self.scorers = dict(scorers_by_type)
-        self.ledger = ledger
-
-    def type_scores(self, text: str, committee_mean: float | None = None) -> dict[str, float]:
-        out = {}
-        for t in TYPE_ORDER:
-            sc = self.scorers[t]
-            if self.ledger is not None:
-                self.ledger.record(sc.id, "routing")
-            out[t] = _clamp(sc.score(text))
-        return out
-
-
 class MaskedTypeRouter:
-    """Routing wiring (b): committee mean gated per type by cue lexicons.
+    """Type routing: committee mean gated per type by cue lexicons.
 
     r_t = b_mean when any cue term for type t matches, else 0; the catch-all
     type always carries the committee mean.
@@ -221,41 +196,33 @@ class MaskedTypeRouter:
 
 @dataclass
 class ScoreReport:
-    """Everything the trigger path learns about one segment of text."""
+    """What the trigger path learns about one segment at one threshold."""
 
-    text: str
-    per_scorer: dict[str, float]
     committee_mean: float
-    type_scores: dict[str, float]
     triggered_types: tuple[str, ...]
     dominant: str
     trigger: bool
 
 
 class BiasMonitor:
-    """Trigger-path bundle: committee mean, trigger decision, type routing."""
+    """Trigger-path bundle: committee mean, trigger decision, type routing.
 
-    def __init__(self, trigger_scorers, router, epsilon: float = 0.3,
-                 ledger: CallLedger | None = None):
-        if not trigger_scorers:
-            raise ValueError("monitor needs at least one trigger scorer")
+    The threshold is an argument of `evaluate` (the episode config owns it),
+    so the trigger and the routed types always read the same value."""
+
+    def __init__(self, trigger_scorers, router, ledger: CallLedger | None = None):
         self.trigger_scorers = list(trigger_scorers)
         self.router = router
-        self.epsilon = float(epsilon)
         self.ledger = ledger
 
-    def evaluate(self, text: str) -> ScoreReport:
-        per = _scorer_outputs(text, self.trigger_scorers, "trigger", self.ledger)
-        mean = math.fsum(per.values()) / len(per)
-        routing = route_types(self.router.type_scores(text, mean), self.epsilon)
+    def evaluate(self, text: str, epsilon: float) -> ScoreReport:
+        mean = committee_score(text, self.trigger_scorers, self.ledger)
+        routing = route_types(self.router.type_scores(text, mean), epsilon)
         return ScoreReport(
-            text=text,
-            per_scorer=per,
             committee_mean=mean,
-            type_scores=routing.scores,
             triggered_types=routing.triggered,
             dominant=routing.dominant,
-            trigger=should_trigger(mean, self.epsilon),
+            trigger=should_trigger(mean, epsilon),
         )
 
 
@@ -266,6 +233,11 @@ class PluginScorer:
     carry {"scores": {name: value}}. One in-flight request per connection;
     any protocol violation or timeout raises ScoringError with this
     scorer's id.
+
+    Library-only: the CLI never constructs one, so a run config cannot name
+    a plugin. A caller that forks workers (as `ttalab run --jobs N` does)
+    must start one per worker: an instance started before the fork shares
+    its pipes and reply queue with every worker.
     """
 
     kind = "plugin"

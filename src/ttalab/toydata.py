@@ -220,11 +220,11 @@ def cue_lexicons() -> dict[str, dict[str, float]]:
     return {t: {g: 1.0 for g in terms} for t, terms in GROUP_TERMS.items()}
 
 
-def build_monitor(epsilon: float = 0.3, ledger: CallLedger | None = None) -> BiasMonitor:
+def build_monitor(ledger: CallLedger | None = None) -> BiasMonitor:
     cues = {t: LexiconScorer(f"cue-{t}", terms, role="routing")
             for t, terms in cue_lexicons().items()}
     return BiasMonitor(trigger_committee(), MaskedTypeRouter(cues, ledger=ledger),
-                       epsilon=epsilon, ledger=ledger)
+                       ledger=ledger)
 
 
 # -- bank and prompts ---------------------------------------------------------------
@@ -335,11 +335,10 @@ class Scenario:
     cue_scorers: dict[str, LexiconScorer]
     manifest: dict
 
-    def monitor(self, epsilon: float = 0.3,
-                ledger: CallLedger | None = None) -> BiasMonitor:
+    def monitor(self, ledger: CallLedger | None = None) -> BiasMonitor:
         return BiasMonitor(self.trigger_scorers,
                            MaskedTypeRouter(self.cue_scorers, ledger=ledger),
-                           epsilon=epsilon, ledger=ledger)
+                           ledger=ledger)
 
 
 def write_scenario(directory, seed: int = 0, n_prompts: int = 60,

@@ -213,21 +213,20 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
         text = model.vocab.decode(seg_ids)
 
         flags: list[str] = []
-        score: float | None
+        score: float | None = None
         triggered = False
         routed_type = None
         triggered_types: list[str] = []
         rounds: list[UpdateRound] = []
         try:
-            report = monitor.evaluate(text)
+            report = monitor.evaluate(text, config.epsilon)
             score = report.committee_mean
-            triggered = config.adapt and should_trigger(score, config.epsilon)
+            triggered = config.adapt and report.trigger
             routed_type = report.dominant if triggered else None
             triggered_types = list(report.triggered_types)
-        except ScoringError as exc:
+        except ScoringError:
             flags.append("scorer_failure")
             episode_flags.append("scorer_failure")
-            score = None
 
         if triggered:
             triggered_count += 1

@@ -380,7 +380,7 @@ def run_scenario_suite(scenario):
     }
     out = {}
     for name, cfg in configs.items():
-        monitor = toydata.build_monitor(epsilon=cfg.epsilon)
+        monitor = toydata.build_monitor()
         scores, ppls, triggered = [], [], 0
         for i, prompt in enumerate(prompts):
             rec = run_episode(prompt, model, monitor, bank, pre, cfg,

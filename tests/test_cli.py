@@ -293,6 +293,15 @@ def test_missing_required_key(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "bad_missing.json")]) == 2
 
 
+@pytest.mark.parametrize("role", ["trigger", "report"])
+def test_empty_committee_is_config_error(ws, tmp_path, capsys, role):
+    assert cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", f"lexicons.{role}=[]"]) == 2
+    assert f"lexicons.{role}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_artifact_file(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
@@ -510,6 +519,8 @@ def test_ablate_segments_divisibility_error(ws):
     ("epsilon", "0.2,1.5"),
     ("seg_tokens", "4,0"),
     ("segments", "0"),
+    ("epsilon", "0.2,0.2"),
+    ("epsilon", "0.2,0.20"),
 ])
 def test_ablate_bad_values_string(ws, tmp_path, axis, values):
     out = tmp_path / "ablate_bad"
@@ -642,19 +653,27 @@ def test_report_missing_dir(tmp_path):
     assert cli.main(["report", str(tmp_path / "nope")]) == 2
 
 
-@pytest.mark.parametrize("name,keep", [
+@pytest.mark.parametrize("name,damage", [
     ("scenario/bank.jsonl", 100),
     ("scenario/model.json", 100),
     ("precond.json", 100),
     ("runs/precond/manifest.json", 50),
     ("runs/precond/records.jsonl", 300),
+    ("runs/precond/manifest.json", "outputs"),
+    ("runs/precond/metrics.json", "rows"),
 ])
-def test_unreadable_artifact_is_config_error(ws, runs, tmp_path, capsys, name, keep):
+def test_unreadable_artifact_is_config_error(ws, runs, tmp_path, capsys, name, damage):
+    # an int keeps that many leading bytes; a string deletes that top-level key
     shutil.copytree(ws / "scenario", tmp_path / "scenario")
     shutil.copy(ws / "precond.json", tmp_path / "precond.json")
     shutil.copytree(runs["precond"], tmp_path / "runs" / "precond")
     path = tmp_path / name
-    path.write_bytes(path.read_bytes()[:keep])
+    if isinstance(damage, int):
+        path.write_bytes(path.read_bytes()[:damage])
+    else:
+        doc = json.loads(path.read_text())
+        del doc[damage]
+        _write_json(path, doc)
     if name.startswith("runs/"):
         code = cli.main(["report", str(tmp_path / "runs")])
     else:

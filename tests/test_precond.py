@@ -1,4 +1,4 @@
-"""Fisher estimation, the damped preconditioner, and the stability check."""
+"""Fisher estimation and the damped preconditioner."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from ttalab.precond import (
     EstimationError,
     Preconditioner,
     build_preconditioner,
-    check_fisher_stability,
     estimate_diag_fisher,
 )
 
@@ -208,36 +207,3 @@ def test_precond_load_rejects_wrong_kind(tmp_path):
     p.write_text('{"kind": "other"}')
     with pytest.raises(ValueError):
         Preconditioner.load(p)
-
-
-# -- stability check --------------------------------------------------------------------
-
-
-def test_stability_consistency_limit():
-    ref = np.array([0.5, 1.0, 2.0])
-    per_ctx = np.tile(ref, (8, 1))
-    rep = check_fisher_stability(ref, per_ctx, rho=0.01)
-    assert rep.ok and rep.fraction_ok == 1.0
-    assert rep.worst_ratio_high == pytest.approx(1.0)
-    assert rep.worst_ratio_low == pytest.approx(1.0)
-
-
-def test_stability_flags_adversarial_context():
-    ref = np.ones(4)
-    rows = np.vstack([np.ones(4), 10.0 * np.ones(4)])
-    rep = check_fisher_stability(ref, rows, rho=0.5, required_fraction=0.95)
-    assert not rep.ok
-    assert rep.fraction_ok == pytest.approx(0.5)
-    assert rep.worst_ratio_high == pytest.approx(10.0)
-    assert rep.violations and rep.violations[0]["context"] == 1
-
-
-def test_stability_zero_entry_conventions():
-    ref = np.array([0.0, 1.0])
-    ok_row = np.array([[0.0, 1.2]])
-    rep = check_fisher_stability(ref, ok_row, rho=0.5)
-    assert rep.ok  # both-zero entry satisfied
-    bad_row = np.array([[0.3, 1.0]])
-    rep2 = check_fisher_stability(ref, bad_row, rho=0.5, required_fraction=1.0)
-    assert not rep2.ok  # mass appeared where the reference saw none
-    assert rep2.worst_ratio_high == np.inf

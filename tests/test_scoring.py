@@ -15,7 +15,6 @@ from ttalab.scoring import (
     MaskedTypeRouter,
     PluginScorer,
     ScoringError,
-    TypeRouter,
     committee_score,
     is_safe,
     load_lexicon,
@@ -178,19 +177,6 @@ def test_masked_router_reproduces_reference_table():
         assert result.triggered == triggered_ref
 
 
-def test_per_type_router_wiring():
-    scorers = {
-        "race": LexiconScorer("t-race", {"blorix": 0.6}),
-        "sex": LexiconScorer("t-sex", {"shrells": 0.6}),
-        "religion": LexiconScorer("t-religion", {"zelnak": 0.6}),
-        "other": LexiconScorer("t-other", {"vermin": 0.5}),
-    }
-    router = TypeRouter(scorers)
-    r = route_types(router.type_scores("the blorix are vermin"), 0.3)
-    assert r.triggered == ("race", "other")
-    assert r.dominant == "race"
-
-
 def test_report_and_trigger_paths_are_instrumented_separately():
     ledger = CallLedger()
     trig = [FixedScorer("t1", default=0.5), FixedScorer("t2", default=0.7)]
@@ -205,18 +191,21 @@ def test_report_and_trigger_paths_are_instrumented_separately():
 def test_monitor_evaluate_bundles_everything():
     ledger = CallLedger()
     trig = [FixedScorer("t1", default=0.62)]
-    router = TypeRouter({
-        "race": FixedScorer("tr", default=0.1),
-        "sex": FixedScorer("ts", default=0.55),
-        "religion": FixedScorer("tg", default=0.0),
-        "other": FixedScorer("to", default=0.2),
+    router = MaskedTypeRouter({
+        "race": LexiconScorer("cue-race", {"blorix": 1.0}),
+        "sex": LexiconScorer("cue-sex", {"shrells": 1.0}),
+        "religion": LexiconScorer("cue-religion", {"zelnak": 1.0}),
     }, ledger=ledger)
-    mon = BiasMonitor(trig, router, epsilon=0.3, ledger=ledger)
-    rep = mon.evaluate("whatever")
+    mon = BiasMonitor(trig, router, ledger=ledger)
+    rep = mon.evaluate("the shrells are here", 0.3)
     assert rep.trigger and rep.committee_mean == pytest.approx(0.62)
-    assert rep.dominant == "sex" and rep.triggered_types == ("sex",)
-    assert ledger.count("trigger") == 1 and ledger.count("routing") == 4
+    assert rep.dominant == "sex" and rep.triggered_types == ("sex", "other")
+    assert ledger.count("trigger") == 1 and ledger.count("routing") == 3
     assert ledger.count("report") == 0
+    # the same text at a threshold above the mean neither fires nor routes
+    rep = mon.evaluate("the shrells are here", 0.7)
+    assert not rep.trigger and rep.triggered_types == ()
+    assert rep.dominant == "sex"
 
 
 # -- plugin protocol -----------------------------------------------------------

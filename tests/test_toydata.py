@@ -4,6 +4,8 @@ import pytest
 from ttalab import toydata
 from ttalab.scoring import report_score
 
+EPS = toydata.SCENARIO_DEFAULTS["epsilon"]
+
 
 def test_vocab_covers_all_template_words():
     vocab = toydata.build_vocab()
@@ -53,7 +55,7 @@ def test_low_rank_generator_option():
 
 def test_trigger_committee_hand_value():
     monitor = toydata.build_monitor()
-    report = monitor.evaluate("the blorix rotten")
+    report = monitor.evaluate("the blorix rotten", EPS)
     w_g, w_n = 0.12, 0.42  # group weight is not tilted across members
     expect = np.mean([1.0 - (1.0 - w_g) * (1.0 - t * w_n)
                       for t in (0.9, 1.0, 1.1)])
@@ -64,16 +66,16 @@ def test_trigger_committee_hand_value():
 
 def test_group_mention_alone_does_not_trigger():
     monitor = toydata.build_monitor()
-    report = monitor.evaluate("the shrells walks calm and the tree grows")
+    report = monitor.evaluate("the shrells walks calm and the tree grows", EPS)
     assert report.committee_mean < 0.2
     assert not report.trigger
 
 
 def test_router_types():
     monitor = toydata.build_monitor()
-    assert monitor.evaluate("zelnak are so vile").dominant == "religion"
-    assert monitor.evaluate("they are savage vixra").dominant == "sex"
-    assert monitor.evaluate("so awful and rotten").dominant == "other"
+    assert monitor.evaluate("zelnak are so vile", EPS).dominant == "religion"
+    assert monitor.evaluate("they are savage vixra", EPS).dominant == "sex"
+    assert monitor.evaluate("so awful and rotten", EPS).dominant == "other"
 
 
 def test_bank_composition():
@@ -116,8 +118,8 @@ def test_scenario_roundtrip(tmp_path):
     monitor_mem = toydata.build_monitor()
     monitor_load = sc.monitor()
     for text in ["the blorix rotten", "kravens are so cruel", "the tree grows"]:
-        assert (monitor_load.evaluate(text).committee_mean
-                == monitor_mem.evaluate(text).committee_mean)
+        assert (monitor_load.evaluate(text, EPS).committee_mean
+                == monitor_mem.evaluate(text, EPS).committee_mean)
 
 
 def test_scenario_digest_check(tmp_path):

@@ -54,14 +54,14 @@ def biased_model(seed=0):
     return ToyLM(vocab, w, adapter, fmap)
 
 
-def trigger_monitor(epsilon=0.3):
+def trigger_monitor():
     scorers = [
         LexiconScorer("trig-a", {"bad": 0.6, "awful": 0.7, "blorix": 0.15}),
         LexiconScorer("trig-b", {"bad": 0.5, "awful": 0.6, "blorix": 0.1}),
         LexiconScorer("trig-c", {"bad": 0.7, "awful": 0.8, "blorix": 0.2}),
     ]
     router = MaskedTypeRouter({"race": LexiconScorer("cue-race", {"blorix": 1.0})})
-    return BiasMonitor(scorers, router, epsilon=epsilon)
+    return BiasMonitor(scorers, router)
 
 
 def safe_bank():
@@ -87,22 +87,19 @@ def small_config(**kw):
 class ScriptedMonitor:
     """Plays back a fixed score sequence regardless of the text."""
 
-    def __init__(self, scores, epsilon=0.3, fail_at=None):
+    def __init__(self, scores, fail_at=None):
         self.scores = list(scores)
-        self.epsilon = epsilon
         self.fail_at = fail_at
         self.calls = 0
 
-    def evaluate(self, text):
+    def evaluate(self, text, epsilon):
         i = self.calls
         self.calls += 1
         if self.fail_at is not None and i == self.fail_at:
             raise ScoringError("scripted", "scripted outage")
         s = self.scores[i % len(self.scores)]
-        trig = s > self.epsilon
-        return ScoreReport(text=text, per_scorer={"scripted": s}, committee_mean=s,
-                           type_scores={"race": s, "sex": 0.0, "religion": 0.0,
-                                        "other": s},
+        trig = s > epsilon
+        return ScoreReport(committee_mean=s,
                            triggered_types=("race", "other") if trig else (),
                            dominant="race", trigger=trig)
 
@@ -129,6 +126,28 @@ def test_trigger_curve_monotone():
     counts = trigger_curve(scores, eps_grid)
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert trigger_curve(scores, [0.3]) == [2]
+
+
+@pytest.mark.parametrize("adapt", [True, False], ids=["adapt", "static"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 0.9])
+def test_one_threshold_gates_trigger_and_routing(epsilon, adapt):
+    model = biased_model()
+    cfg = small_config(epsilon=epsilon, multi_trigger=True, adapt=adapt)
+    monitor = trigger_monitor()
+    scored = []
+    for i, prompt in enumerate(["calm walk", "blorix tree", "sun river"]):
+        rec = run_episode(prompt, model, monitor, safe_bank(),
+                          fitted_preconditioner(model), cfg, rng=20 + i)
+        scored += [s for s in rec.segments if s.trigger_score is not None]
+    assert scored
+    for s in scored:
+        # the catch-all type carries the committee mean, so some type is
+        # routed exactly when the mean clears the episode's threshold
+        assert bool(s.triggered_types) == (s.trigger_score > cfg.epsilon)
+        if adapt:
+            assert s.triggered == (s.trigger_score > cfg.epsilon)
+        else:
+            assert not s.triggered
 
 
 def test_scripted_trigger_pattern():
