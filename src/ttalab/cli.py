@@ -37,7 +37,7 @@ from .precond import (
     estimate_diag_fisher,
 )
 from .safebank import SafeBank
-from .scoring import BiasMonitor, MaskedTypeRouter, load_lexicon, report_score
+from .scoring import CUED_TYPES, BiasMonitor, load_lexicon, report_score
 from .tta import EpisodeConfig, load_episodes, run_episode, save_episodes, trigger_curve
 
 MANIFEST_KIND = "run-manifest"
@@ -281,17 +281,21 @@ def cmd_precompute(args) -> int:
 
 
 def _load_scorers(cfg: dict):
-    def lexicon(value, role, scorer_id=None):
-        p = _config_path(cfg, value)
-        return _load("lexicon", load_lexicon, p, scorer_id=scorer_id or p.stem, role=role)
+    def lexicon(key, value, scorer_id=None):
+        if not isinstance(value, str):
+            raise CliError(EXIT_CONFIG, f"config key {key!r}: {value!r} is not a lexicon path")
+        return _load("lexicon", load_lexicon, _config_path(cfg, value), scorer_id=scorer_id)
 
     lex = cfg["lexicons"]
     for role in ("trigger", "report"):
         if not lex[role]:
             raise CliError(EXIT_CONFIG, f"lexicons.{role} needs at least one lexicon")
-    return ([lexicon(p, "trigger") for p in lex["trigger"]],
-            [lexicon(p, "report") for p in lex["report"]],
-            {t: lexicon(p, "routing", f"cue-{t}") for t, p in lex["cue"].items()})
+    for t in lex["cue"]:
+        if t not in CUED_TYPES:
+            raise CliError(EXIT_CONFIG, f"lexicons.cue.{t}: cue types are {CUED_TYPES}")
+    return ([lexicon("lexicons.trigger", p) for p in lex["trigger"]],
+            [lexicon("lexicons.report", p) for p in lex["report"]],
+            {t: lexicon(f"lexicons.cue.{t}", p, f"cue-{t}") for t, p in lex["cue"].items()})
 
 
 def _select_prompts(cfg: dict, report_scorers) -> list[str]:
@@ -345,6 +349,31 @@ def _run_one(item):
         return idx, None, f"{type(exc).__name__}: {exc}"
 
 
+def _run_pool(items, jobs: int) -> list:
+    """`_run_one` over `items` in `jobs` forked workers, in item order; each
+    episode a dead worker leaves unfinished is a failure, not a hang."""
+    # imported here, off the start-up path of serial runs
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = []
+        for item in items:
+            try:
+                futures.append(pool.submit(_run_one, item))
+            except BrokenProcessPool:  # a worker died before every episode was queued
+                break
+        for (idx, _), fut in zip(items, futures):
+            try:
+                results.append(fut.result())
+            except BrokenProcessPool as exc:
+                results.append((idx, None, f"{type(exc).__name__}: {exc}"))
+    results += [(idx, None, "BrokenProcessPool: a worker died before this episode "
+                            "was queued") for idx, _ in items[len(futures):]]
+    return results
+
+
 def _artifact(path: Path) -> dict:
     """Manifest entry for an input, digested when it is loaded."""
     return {"path": str(path), "digest": file_digest(path)}
@@ -381,18 +410,16 @@ def cmd_run(args) -> int:
 
     _INPUTS.update(
         model=model, bank=bank, preconditioner=preconditioner, config=episode_cfg,
-        monitor=BiasMonitor(trigger, MaskedTypeRouter(cues)),
+        monitor=BiasMonitor(trigger, cues),
         master_seed=cfg["master_seed"])
     items = list(enumerate(prompts))
     try:
         if args.jobs and args.jobs > 1:
-            with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
-                results = pool.map(_run_one, items)
+            results = _run_pool(items, args.jobs)
         else:
             results = [_run_one(item) for item in items]
     finally:
         _INPUTS.clear()
-    results.sort(key=lambda r: r[0])
 
     records = []
     failures = []

@@ -5,8 +5,8 @@ likelihood ratio) plus rank-based AUROC / AUPR with a percentile bootstrap.
 Embeddings at this scale are mean-pooled feature-map vectors; anything
 richer can be piped in through the embedding exchange file.
 
-scipy's `rankdata` is imported inside `auroc` and the bootstrap branch of
-`evaluate` only, so importing this module does not load scipy.
+scipy's `rankdata` is imported inside `_rank_auroc` only, so importing this
+module does not load scipy.
 """
 
 from __future__ import annotations
@@ -143,17 +143,24 @@ def llr_score(text, foreground, background) -> float:
 # -- evaluation ------------------------------------------------------------------
 
 
-def auroc(scores_ood, scores_id) -> float:
-    """Rank-statistic AUROC; tied pairs count one half."""
+def _rank_auroc(o: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Rank-statistic AUROC of each row of `o` (OOD) against the same row of
+    `i` (ID). Ranks are half-integers, so the rank sums are exact."""
     from scipy.stats import rankdata
 
+    n_o, n_i = o.shape[1], i.shape[1]
+    ranks = rankdata(np.concatenate([o, i], axis=1), axis=1)
+    u = ranks[:, :n_o].sum(axis=1) - n_o * (n_o + 1) / 2.0
+    return u / (n_o * n_i)
+
+
+def auroc(scores_ood, scores_id) -> float:
+    """Rank-statistic AUROC; tied pairs count one half."""
     o = np.asarray(scores_ood, dtype=np.float64)
     i = np.asarray(scores_id, dtype=np.float64)
     if o.size == 0 or i.size == 0:
         raise ValueError("both score sets must be non-empty")
-    ranks = rankdata(np.concatenate([o, i]))
-    u = ranks[: o.size].sum() - o.size * (o.size + 1) / 2.0
-    return float(u / (o.size * i.size))
+    return float(_rank_auroc(o[None], i[None])[0])
 
 
 def aupr(scores_ood, scores_id) -> float:
@@ -222,15 +229,9 @@ def evaluate(scores_ood, scores_id, bootstrap_n: int = 1000, seed: int = 0,
     point_aupr = aupr(o, i)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if bootstrap_n > 0:
-        from scipy.stats import rankdata
-
         idx_o = rng.integers(0, o.size, size=(bootstrap_n, o.size))
         idx_i = rng.integers(0, i.size, size=(bootstrap_n, i.size))
-        mat = np.concatenate([o[idx_o], i[idx_i]], axis=1)
-        ranks = rankdata(mat, axis=1)
-        u = ranks[:, : o.size].sum(axis=1) - o.size * (o.size + 1) / 2.0
-        draws = u / (o.size * i.size)
-        lo, hi = np.percentile(draws, [2.5, 97.5])
+        lo, hi = np.percentile(_rank_auroc(o[idx_o], i[idx_i]), [2.5, 97.5])
     else:
         lo = hi = point_auroc
     return DetectorResult(detector=detector, auroc=point_auroc, aupr=point_aupr,

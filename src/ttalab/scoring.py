@@ -1,4 +1,4 @@
-"""Bias scoring: weighted lexicons, committees, type routing, plugins.
+"""Bias scoring: weighted lexicons, committees, the trigger monitor, plugins.
 
 Two scorer committees exist side by side with a hard firewall between them:
 the trigger committee decides when adaptation fires, the reporting committee
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 TYPE_ORDER = ("race", "sex", "religion", "other")
+# the types a cue lexicon gates; `other` always carries the committee mean
+CUED_TYPES = TYPE_ORDER[:-1]
 
 _PUNCT = re.compile(r"[^\w\s]+")
 
@@ -49,11 +51,8 @@ class LexiconScorer:
     multi-word phrases, matched against the normalized word sequence.
     """
 
-    kind = "lexicon"
-
-    def __init__(self, scorer_id: str, terms: dict[str, float], role: str = "both"):
+    def __init__(self, scorer_id: str, terms: dict[str, float]):
         self.id = scorer_id
-        self.role = role
         self.terms: dict[tuple[str, ...], float] = {}
         for term, w in terms.items():
             w = float(w)
@@ -80,7 +79,7 @@ def save_lexicon(path, terms: dict[str, float]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_lexicon(path, scorer_id: str | None = None, role: str = "both") -> LexiconScorer:
+def load_lexicon(path, scorer_id: str | None = None) -> LexiconScorer:
     """Parse a `term<TAB>weight` file; `#` starts a comment line."""
     terms: dict[str, float] = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -94,7 +93,7 @@ def load_lexicon(path, scorer_id: str | None = None, role: str = "both") -> Lexi
             terms[term.strip()] = float(weight)
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: bad weight {weight!r}") from exc
-    return LexiconScorer(scorer_id or Path(path).stem, terms, role=role)
+    return LexiconScorer(scorer_id or Path(path).stem, terms)
 
 
 class CallLedger:
@@ -118,17 +117,18 @@ def _clamp(x: float) -> float:
 
 def committee_score(text: str, scorers, ledger: CallLedger | None = None,
                     role: str = "trigger") -> float:
-    """Arithmetic mean of clamped scorer outputs.
+    """Arithmetic mean of clamped scorer outputs, one term per scorer even
+    when two share an id.
 
     math.fsum keeps the mean bit-identical under scorer reordering."""
     if not scorers:
         raise ValueError("committee needs at least one scorer")
-    out = {}
+    out = []
     for sc in scorers:
         if ledger is not None:
             ledger.record(sc.id, role)
-        out[sc.id] = _clamp(sc.score(text))
-    return math.fsum(out.values()) / len(out)
+        out.append(_clamp(sc.score(text)))
+    return math.fsum(out) / len(out)
 
 
 def report_score(text: str, scorers, ledger: CallLedger | None = None) -> float:
@@ -167,33 +167,6 @@ def route_types(type_scores: dict[str, float], epsilon: float) -> RoutingResult:
     return RoutingResult(scores=scores, triggered=triggered, dominant=dominant)
 
 
-class MaskedTypeRouter:
-    """Type routing: committee mean gated per type by cue lexicons.
-
-    r_t = b_mean when any cue term for type t matches, else 0; the catch-all
-    type always carries the committee mean.
-    """
-
-    def __init__(self, cue_lexicons: dict[str, LexiconScorer], catch_all: str = "other",
-                 ledger: CallLedger | None = None):
-        self.cues = dict(cue_lexicons)
-        self.catch_all = catch_all
-        self.ledger = ledger
-
-    def type_scores(self, text: str, committee_mean: float) -> dict[str, float]:
-        out = {}
-        for t in TYPE_ORDER:
-            if t == self.catch_all:
-                out[t] = _clamp(committee_mean)
-                continue
-            cue = self.cues.get(t)
-            if cue is not None and self.ledger is not None:
-                self.ledger.record(cue.id, "routing")
-            hit = bool(cue and cue.matched_terms(text))
-            out[t] = _clamp(committee_mean) if hit else 0.0
-        return out
-
-
 @dataclass
 class ScoreReport:
     """What the trigger path learns about one segment at one threshold."""
@@ -205,19 +178,32 @@ class ScoreReport:
 
 
 class BiasMonitor:
-    """Trigger-path bundle: committee mean, trigger decision, type routing.
+    """Trigger path: committee mean, trigger decision, cue-gated type routing.
 
-    The threshold is an argument of `evaluate` (the episode config owns it),
-    so the trigger and the routed types always read the same value."""
+    A cued type carries the committee mean when its cue lexicon matches the
+    text and 0.0 otherwise; `other` always carries the mean. The threshold
+    is an argument of `evaluate` (the episode config owns it), so the
+    trigger and the routed types always read the same value."""
 
-    def __init__(self, trigger_scorers, router, ledger: CallLedger | None = None):
+    def __init__(self, trigger_scorers, cue_scorers: dict[str, LexiconScorer],
+                 ledger: CallLedger | None = None):
+        unknown = set(cue_scorers) - set(CUED_TYPES)
+        if unknown:
+            raise ValueError(f"cue lexicons for unknown types {sorted(unknown)}; "
+                             f"cued types are {CUED_TYPES}")
         self.trigger_scorers = list(trigger_scorers)
-        self.router = router
+        self.cue_scorers = dict(cue_scorers)
         self.ledger = ledger
 
     def evaluate(self, text: str, epsilon: float) -> ScoreReport:
         mean = committee_score(text, self.trigger_scorers, self.ledger)
-        routing = route_types(self.router.type_scores(text, mean), epsilon)
+        type_scores = {"other": mean}
+        for t in CUED_TYPES:
+            cue = self.cue_scorers.get(t)
+            if cue is not None and self.ledger is not None:
+                self.ledger.record(cue.id, "routing")
+            type_scores[t] = mean if cue and cue.matched_terms(text) else 0.0
+        routing = route_types(type_scores, epsilon)
         return ScoreReport(
             committee_mean=mean,
             triggered_types=routing.triggered,
@@ -240,12 +226,9 @@ class PluginScorer:
     its pipes and reply queue with every worker.
     """
 
-    kind = "plugin"
-
     def __init__(self, scorer_id: str, argv, field: str | None = None,
-                 role: str = "both", timeout: float = 5.0):
+                 timeout: float = 5.0):
         self.id = scorer_id
-        self.role = role
         self.argv = list(argv)
         self.field = field
         self.timeout = timeout

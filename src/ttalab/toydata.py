@@ -21,9 +21,7 @@ from .optim import UpdateRuleConfig
 from .safebank import SafeBank, ingest
 from .scoring import (
     BiasMonitor,
-    CallLedger,
     LexiconScorer,
-    MaskedTypeRouter,
     load_lexicon,
     report_score,
     save_lexicon,
@@ -207,12 +205,12 @@ def report_lexicons() -> list[dict[str, float]]:
 
 
 def trigger_committee() -> list[LexiconScorer]:
-    return [LexiconScorer(f"trigger-{i}", terms, role="trigger")
+    return [LexiconScorer(f"trigger-{i}", terms)
             for i, terms in enumerate(trigger_lexicons())]
 
 
 def report_committee() -> list[LexiconScorer]:
-    return [LexiconScorer(f"report-{i}", terms, role="report")
+    return [LexiconScorer(f"report-{i}", terms)
             for i, terms in enumerate(report_lexicons())]
 
 
@@ -220,11 +218,9 @@ def cue_lexicons() -> dict[str, dict[str, float]]:
     return {t: {g: 1.0 for g in terms} for t, terms in GROUP_TERMS.items()}
 
 
-def build_monitor(ledger: CallLedger | None = None) -> BiasMonitor:
-    cues = {t: LexiconScorer(f"cue-{t}", terms, role="routing")
-            for t, terms in cue_lexicons().items()}
-    return BiasMonitor(trigger_committee(), MaskedTypeRouter(cues, ledger=ledger),
-                       ledger=ledger)
+def build_monitor() -> BiasMonitor:
+    cues = {t: LexiconScorer(f"cue-{t}", terms) for t, terms in cue_lexicons().items()}
+    return BiasMonitor(trigger_committee(), cues)
 
 
 # -- bank and prompts ---------------------------------------------------------------
@@ -335,11 +331,6 @@ class Scenario:
     cue_scorers: dict[str, LexiconScorer]
     manifest: dict
 
-    def monitor(self, ledger: CallLedger | None = None) -> BiasMonitor:
-        return BiasMonitor(self.trigger_scorers,
-                           MaskedTypeRouter(self.cue_scorers, ledger=ledger),
-                           ledger=ledger)
-
 
 def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
                    per_type: int = 40) -> dict:
@@ -398,17 +389,12 @@ def load_scenario(directory, verify: bool = True) -> Scenario:
             if got != want:
                 raise ValueError(f"{directory / name}: digest mismatch")
 
-    trigger = [load_lexicon(directory / n, scorer_id=n.removesuffix(".tsv"),
-                            role="trigger")
-               for n in manifest["lexicons"]["trigger"]]
-    report = [load_lexicon(directory / n, scorer_id=n.removesuffix(".tsv"),
-                           role="report")
-              for n in manifest["lexicons"]["report"]]
+    trigger = [load_lexicon(directory / n) for n in manifest["lexicons"]["trigger"]]
+    report = [load_lexicon(directory / n) for n in manifest["lexicons"]["report"]]
     cues = {}
     for n in manifest["lexicons"]["cue"]:
         bias_type = n.removesuffix(".tsv").removeprefix("cue_")
-        cues[bias_type] = load_lexicon(directory / n, scorer_id=f"cue-{bias_type}",
-                                       role="routing")
+        cues[bias_type] = load_lexicon(directory / n, scorer_id=f"cue-{bias_type}")
 
     return Scenario(
         model=ToyLM.load(directory / "model.json"),

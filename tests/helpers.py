@@ -72,9 +72,8 @@ class FixedScorer:
 
     kind = "fixed"
 
-    def __init__(self, scorer_id, table=None, default=0.0, role="both"):
+    def __init__(self, scorer_id, table=None, default=0.0):
         self.id = scorer_id
-        self.role = role
         self.table = dict(table or {})
         self.default = default
 

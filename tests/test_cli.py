@@ -8,8 +8,12 @@ scenario directory, so the tests double as a contract for the exit codes
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import textwrap
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +187,68 @@ def test_run_jobs_parity(ws, runs, tmp_path):
     assert _strip_timing(serial) == _strip_timing(parallel)
 
 
+DYING_WORKER = textwrap.dedent("""
+    import os, sys
+    from ttalab import cli
+
+    run_episode = cli.run_episode
+
+    def dying_run_episode(*args, prompt_id, **kwargs):
+        if prompt_id == "prompt-0001":
+            os._exit(17)  # the worker dies mid-episode, without an exception
+        return run_episode(*args, prompt_id=prompt_id, **kwargs)
+
+    cli.run_episode = dying_run_episode
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_dead_worker_is_an_episode_failure_not_a_hang(ws, tmp_path):
+    out = tmp_path / "dead"
+    # a new session, so a hung run's workers can be killed with it
+    proc = subprocess.Popen(
+        [sys.executable, "-c", DYING_WORKER, "run", "--config", str(ws / "run.json"),
+         "--set", f"output_dir={out}", "--jobs", "2"],
+        env=_fresh_interpreter_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("ttalab run --jobs 2 hung after a worker died")
+    assert proc.returncode == 4, err
+    man = json.loads((out / "manifest.json").read_text())
+    failed = {f["prompt_id"]: f["error"] for f in man["failures"]}
+    assert failed["prompt-0001"].startswith("BrokenProcessPool")
+    _, records = _read_records(out / "records.jsonl")
+    done = {r["prompt_id"] for r in records}
+    assert not done & set(failed)
+    assert len(done) + len(failed) == man["n_prompts"] == 8
+
+
+def _echo_episode(item):
+    return item[0], item[1], None
+
+
+def test_pool_broken_while_queueing_fails_the_rest(monkeypatch):
+    submit = ProcessPoolExecutor.submit
+    queued = []
+
+    def submit_twice(pool, fn, *args):
+        # as if a worker died while the third episode was being queued
+        if len(queued) == 2:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        queued.append(args)
+        return submit(pool, fn, *args)
+
+    monkeypatch.setattr(cli, "_run_one", _echo_episode)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_twice)
+    results = cli._run_pool(list(enumerate("abcd")), 2)
+    assert [r[:2] for r in results] == [(0, "a"), (1, "b"), (2, None), (3, None)]
+    assert all(err.startswith("BrokenProcessPool") for _, _, err in results[2:])
+
+
 def test_run_loads_each_input_once(ws, tmp_path, monkeypatch):
     calls = {}
     for cls in (ToyLM, SafeBank, Preconditioner):
@@ -293,12 +359,22 @@ def test_missing_required_key(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "bad_missing.json")]) == 2
 
 
-@pytest.mark.parametrize("role", ["trigger", "report"])
-def test_empty_committee_is_config_error(ws, tmp_path, capsys, role):
+@pytest.mark.parametrize("setting, key", [
+    pytest.param("lexicons.trigger=[]", "lexicons.trigger", id="trigger"),
+    pytest.param("lexicons.report=[]", "lexicons.report", id="report"),
+    # a cue for a type the monitor does not gate would be ignored
+    pytest.param("lexicons.cue.gender=scenario/cue_sex.tsv", "lexicons.cue.gender",
+                 id="cue-gender"),
+    pytest.param("lexicons.cue.other=scenario/cue_race.tsv", "lexicons.cue.other",
+                 id="cue-other"),
+    pytest.param("lexicons.trigger=[1]", "lexicons.trigger", id="trigger-not-a-path"),
+    pytest.param("lexicons.cue.race=[]", "lexicons.cue.race", id="cue-not-a-path"),
+])
+def test_empty_committee_is_config_error(ws, tmp_path, capsys, setting, key):
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
-                     "--set", f"lexicons.{role}=[]"]) == 2
-    assert f"lexicons.{role}" in capsys.readouterr().err
+                     "--set", setting]) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -12,7 +12,6 @@ from ttalab.scoring import (
     BiasMonitor,
     CallLedger,
     LexiconScorer,
-    MaskedTypeRouter,
     PluginScorer,
     ScoringError,
     committee_score,
@@ -72,9 +71,8 @@ def test_lexicon_file_roundtrip(tmp_path):
     save_lexicon(path, {"vermin": 0.8, "those people": 0.6})
     text = path.read_text()
     path.write_text("# comment line\n\n" + text)
-    sc = load_lexicon(path, role="trigger")
+    sc = load_lexicon(path)
     assert sc.score("those people are vermin") == pytest.approx(1 - 0.2 * 0.4)
-    assert sc.role == "trigger"
 
 
 def test_lexicon_file_bad_lines(tmp_path):
@@ -131,6 +129,13 @@ def test_committee_requires_scorers():
         committee_score("x", [])
 
 
+def test_committee_counts_scorers_sharing_an_id():
+    # lexicon files with the same stem in two directories share an id
+    same = [LexiconScorer("neg", {"vile": 1.0}), LexiconScorer("neg", {"calm": 1.0})]
+    assert committee_score("vile", same) == 0.5
+    assert committee_score("vile", same[::-1]) == 0.5
+
+
 def test_is_safe_boundary_and_reference_values():
     assert is_safe(0.1883, 0.3)
     assert is_safe(0.3, 0.3)  # boundary is safe
@@ -167,14 +172,16 @@ def test_masked_router_reproduces_reference_table():
         "sex": LexiconScorer("cues-sex", {"those people": 1.0}),
         "religion": LexiconScorer("cues-religion", {"those people": 1.0}),
     }
-    router = MaskedTypeRouter(cues)
-    scorers = router_committee()
+    mon = BiasMonitor(router_committee(), cues)
     for text, (_, mean_ref, type_refs, triggered_ref) in ROUTER_ROWS.items():
-        mean = committee_score(text, scorers)
-        result = route_types(router.type_scores(text, mean), 0.3)
+        # at epsilon 0 every type with a non-zero score is routed, and a
+        # routed type carries the committee mean
+        rep = mon.evaluate(text, 0.0)
+        assert rep.committee_mean == pytest.approx(mean_ref, abs=5e-5)
         for t, ref in type_refs.items():
-            assert result.scores[t] == pytest.approx(ref, abs=5e-5), (text, t)
-        assert result.triggered == triggered_ref
+            routed = rep.committee_mean if t in rep.triggered_types else 0.0
+            assert routed == pytest.approx(ref, abs=5e-5), (text, t)
+        assert mon.evaluate(text, 0.3).triggered_types == triggered_ref
 
 
 def test_report_and_trigger_paths_are_instrumented_separately():
@@ -191,12 +198,11 @@ def test_report_and_trigger_paths_are_instrumented_separately():
 def test_monitor_evaluate_bundles_everything():
     ledger = CallLedger()
     trig = [FixedScorer("t1", default=0.62)]
-    router = MaskedTypeRouter({
+    mon = BiasMonitor(trig, {
         "race": LexiconScorer("cue-race", {"blorix": 1.0}),
         "sex": LexiconScorer("cue-sex", {"shrells": 1.0}),
         "religion": LexiconScorer("cue-religion", {"zelnak": 1.0}),
     }, ledger=ledger)
-    mon = BiasMonitor(trig, router, ledger=ledger)
     rep = mon.evaluate("the shrells are here", 0.3)
     assert rep.trigger and rep.committee_mean == pytest.approx(0.62)
     assert rep.dominant == "sex" and rep.triggered_types == ("sex", "other")
@@ -206,6 +212,12 @@ def test_monitor_evaluate_bundles_everything():
     rep = mon.evaluate("the shrells are here", 0.7)
     assert not rep.trigger and rep.triggered_types == ()
     assert rep.dominant == "sex"
+
+
+@pytest.mark.parametrize("cue_type", ["other", "gender"])
+def test_monitor_rejects_cue_for_uncued_type(cue_type):
+    with pytest.raises(ValueError, match=cue_type):
+        BiasMonitor([FixedScorer("t1")], {cue_type: LexiconScorer("cue", {"x": 1.0})})
 
 
 # -- plugin protocol -----------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ttalab import toydata
-from ttalab.scoring import report_score
+from ttalab.scoring import BiasMonitor, report_score
 
 EPS = toydata.SCENARIO_DEFAULTS["epsilon"]
 
@@ -116,7 +116,7 @@ def test_scenario_roundtrip(tmp_path):
 
     # loaded committees reproduce the in-memory scores exactly
     monitor_mem = toydata.build_monitor()
-    monitor_load = sc.monitor()
+    monitor_load = BiasMonitor(sc.trigger_scorers, sc.cue_scorers)
     for text in ["the blorix rotten", "kravens are so cruel", "the tree grows"]:
         assert (monitor_load.evaluate(text, EPS).committee_mean
                 == monitor_mem.evaluate(text, EPS).committee_mean)

@@ -10,8 +10,8 @@ from ttalab.precond import DigestMismatchError, build_preconditioner, estimate_d
 from ttalab.safebank import ingest
 from ttalab.scoring import (
     BiasMonitor,
+    CallLedger,
     LexiconScorer,
-    MaskedTypeRouter,
     ScoreReport,
     ScoringError,
 )
@@ -60,8 +60,7 @@ def trigger_monitor():
         LexiconScorer("trig-b", {"bad": 0.5, "awful": 0.6, "blorix": 0.1}),
         LexiconScorer("trig-c", {"bad": 0.7, "awful": 0.8, "blorix": 0.2}),
     ]
-    router = MaskedTypeRouter({"race": LexiconScorer("cue-race", {"blorix": 1.0})})
-    return BiasMonitor(scorers, router)
+    return BiasMonitor(scorers, {"race": LexiconScorer("cue-race", {"blorix": 1.0})})
 
 
 def safe_bank():
@@ -148,6 +147,23 @@ def test_one_threshold_gates_trigger_and_routing(epsilon, adapt):
             assert s.triggered == (s.trigger_score > cfg.epsilon)
         else:
             assert not s.triggered
+
+
+@pytest.mark.parametrize("adapt", [True, False], ids=["adapt", "static"])
+def test_episode_never_touches_report_path(adapt):
+    model = biased_model()
+    plain = trigger_monitor()
+    ledger = CallLedger()
+    monitor = BiasMonitor(plain.trigger_scorers, plain.cue_scorers, ledger=ledger)
+    rec = run_episode("calm walk", model, monitor, safe_bank(),
+                      fitted_preconditioner(model), small_config(adapt=adapt), rng=11)
+    scored = [s for s in rec.segments if s.trigger_score is not None]
+    assert len(scored) == len(rec.segments)
+    assert any(s.rounds for s in rec.segments) == adapt
+    assert ledger.count("report") == 0
+    assert ledger.count("trigger") == len(scored) * len(plain.trigger_scorers)
+    assert ledger.count("routing") == len(scored) * len(plain.cue_scorers)
+    assert ledger.count() == ledger.count("trigger") + ledger.count("routing")
 
 
 def test_scripted_trigger_pattern():
