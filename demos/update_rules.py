@@ -50,12 +50,12 @@ def run(rule, lr):
         loss, g = loss_and_grad(phi)
         curve.append(loss)
         if rule == "precond":
-            out = precond_step(phi, g, pre.diag, lr=lr)
+            step = precond_step(g, pre.diag, lr=lr)
         elif rule == "sgd":
-            out = sgd_step(phi, g, lr=lr)
+            step = sgd_step(g, lr=lr)
         else:
-            out = adamw_step(state, phi, g, lr=lr)
-        phi = phi + out.delta
+            step = adamw_step(state, phi, g, lr=lr)
+        phi = phi + step
     curve.append(loss_and_grad(phi)[0])
     return curve
 

@@ -86,12 +86,6 @@ class NgramOneHot:
         f[self.active_indices(history)] = 1.0
         return f
 
-    # the most recent tokens the features see; the teacher-forced kernel
-    # and the enumeration oracle truncate histories to it
-    @property
-    def context_window(self) -> int:
-        return self.order
-
 
 @dataclass
 class AdapterParams:
@@ -162,11 +156,6 @@ class GenerationSettings:
             raise ValueError("top_p must lie in (0, 1]")
         if self.tokens_per_segment < 1:
             raise ValueError("tokens_per_segment must be >= 1")
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    return z - math.log(np.exp(z).sum())
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -242,9 +231,6 @@ class ToyLM:
     def logits(self, history) -> np.ndarray:
         return self.combined_weight()[:, self.fmap.active_indices(history)].sum(axis=1)
 
-    def next_token_logprobs(self, history) -> np.ndarray:
-        return log_softmax(self.logits(history))
-
     def sequence_log_prob(self, target, history=()) -> float:
         """Sum of log P(target[t] | history + target[:t])."""
         return float(self._teacher_forced([(history, target)])[2].sum())
@@ -271,7 +257,7 @@ class ToyLM:
         its feature vector, targets[i] the token it predicts, logp[i] that
         token's log-probability and probs[i] the next-token distribution.
         """
-        window = self.fmap.context_window
+        window = self.fmap.order
         row_ids, cols, targets = [], [], []
         for history, target in batch:
             target = [int(t) for t in target]

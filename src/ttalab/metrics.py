@@ -190,14 +190,15 @@ def aggregate_run(records) -> dict:
     return out
 
 
-def summary_table(rows: dict, sep: str = "\t", precision: int = 6) -> str:
-    """Fixed-precision table, one line per system, stable column order."""
-    header = sep.join(("system",) + SUMMARY_COLUMNS)
+def summary_table(rows: dict) -> str:
+    """Six-decimal tab-separated table, one line per system, stable column
+    order."""
+    header = "\t".join(("system",) + SUMMARY_COLUMNS)
     lines = [header]
     for name in sorted(rows):
         summary = rows[name]
         cells = [name]
         for col in SUMMARY_COLUMNS:
-            cells.append(f"{summary[col]:.{precision}f}")
-        lines.append(sep.join(cells))
+            cells.append(f"{summary[col]:.6f}")
+        lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

@@ -197,8 +197,6 @@ class DetectorResult:
     n_bootstrap: int
     n_ood: int
     n_id: int
-    scores_ood: np.ndarray
-    scores_id: np.ndarray
 
     @property
     def far_ood(self) -> bool:
@@ -236,5 +234,4 @@ def evaluate(scores_ood, scores_id, bootstrap_n: int = 1000, seed: int = 0,
         lo = hi = point_auroc
     return DetectorResult(detector=detector, auroc=point_auroc, aupr=point_aupr,
                           ci_low=float(lo), ci_high=float(hi),
-                          n_bootstrap=bootstrap_n, n_ood=o.size, n_id=i.size,
-                          scores_ood=o, scores_id=i)
+                          n_bootstrap=bootstrap_n, n_ood=o.size, n_id=i.size)

@@ -1,6 +1,6 @@
 """Update rules for the adapter: preconditioned, SGD, AdamW.
 
-All rules are pure functions of (state, phi, g) returning a StepOutcome;
+Each rule returns its step delta (AdamW also advances its state);
 gradient clipping and delta capping are separate so the episode loop can
 apply them in the documented order (clip the gradient, take the rule step,
 cap the step). The closed-form trust-region step solves
@@ -49,12 +49,6 @@ class UpdateRuleConfig:
         return _DEFAULT_LR[self.kind]
 
 
-@dataclass
-class StepOutcome:
-    delta: np.ndarray
-    grad_norm: float
-
-
 def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
     """g * min(1, c / ||g||); direction preserved, zero stays zero."""
     if c <= 0:
@@ -70,22 +64,17 @@ def cap_delta(delta: np.ndarray, max_delta_norm: float) -> np.ndarray:
     return clip_gradient(delta, max_delta_norm)
 
 
-def _outcome(delta, g) -> StepOutcome:
-    return StepOutcome(delta=delta, grad_norm=float(np.linalg.norm(g)))
+def sgd_step(g: np.ndarray, lr: float) -> np.ndarray:
+    return -lr * g
 
 
-def sgd_step(phi: np.ndarray, g: np.ndarray, lr: float) -> StepOutcome:
-    return _outcome(-lr * g, g)
-
-
-def precond_step(phi: np.ndarray, g: np.ndarray, preconditioner: np.ndarray,
-                 lr: float) -> StepOutcome:
-    """phi' = phi - lr * (P o g), elementwise preconditioning."""
+def precond_step(g: np.ndarray, preconditioner: np.ndarray, lr: float) -> np.ndarray:
+    """delta = -lr * (P o g), elementwise preconditioning."""
     if preconditioner.shape != g.shape:
         raise ValueError(
             f"preconditioner shape {preconditioner.shape} does not match "
             f"gradient shape {g.shape}")
-    return _outcome(-lr * (preconditioner * g), g)
+    return -lr * (preconditioner * g)
 
 
 @dataclass
@@ -100,23 +89,22 @@ class AdamWState:
 
 
 def adamw_step(state: AdamWState, phi: np.ndarray, g: np.ndarray, lr: float,
-               beta1: float = 0.9, beta2: float = 0.999, eps_num: float = 1e-8,
-               weight_decay: float = 0.0) -> StepOutcome:
-    """Bias-corrected AdamW with decoupled weight decay.
+               eps_num: float = 1e-8, weight_decay: float = 0.0) -> np.ndarray:
+    """Bias-corrected AdamW (beta1 = 0.9, beta2 = 0.999) with decoupled
+    weight decay.
 
     With eps_num = 0 the first step from zero state is exactly
     -lr * sign(g) (0/0 coordinates resolve to 0), which is the sign-step
     behavior the preconditioned rule is built to avoid on cold starts.
     """
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
+    state.m = 0.9 * state.m + (1.0 - 0.9) * g
+    state.v = 0.999 * state.v + (1.0 - 0.999) * g * g
+    m_hat = state.m / (1.0 - 0.9 ** state.t)
+    v_hat = state.v / (1.0 - 0.999 ** state.t)
     denom = np.sqrt(v_hat) + eps_num
     ratio = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom != 0.0)
-    delta = -lr * (ratio + weight_decay * phi)
-    return _outcome(delta, g)
+    return -lr * (ratio + weight_decay * phi)
 
 
 @dataclass

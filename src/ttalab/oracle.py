@@ -177,7 +177,7 @@ class SequenceSpace:
         window_ids: dict[tuple, int] = {}
         n_out = self.outcomes.shape[0]
         self.win_idx = np.zeros((n_out, length), dtype=np.int64)
-        order = getattr(model.fmap, "context_window", model.fmap.order)
+        order = model.fmap.order
         for i in range(n_out):
             hist = self.context + [int(t) for t in self.outcomes[i]]
             for t in range(length):

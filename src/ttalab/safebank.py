@@ -53,9 +53,6 @@ class SafeBank:
         out["generic"] = len(self.generic)
         return out
 
-    def is_empty(self) -> bool:
-        return not self.generic and not any(self.entries.values())
-
     def save(self, path) -> None:
         header = {
             "kind": BANK_KIND,

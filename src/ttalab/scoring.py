@@ -150,7 +150,6 @@ def should_trigger(score: float, epsilon: float) -> bool:
 
 @dataclass
 class RoutingResult:
-    scores: dict[str, float]
     triggered: tuple[str, ...]
     dominant: str
 
@@ -164,7 +163,7 @@ def route_types(type_scores: dict[str, float], epsilon: float) -> RoutingResult:
     scores = {t: _clamp(type_scores[t]) for t in TYPE_ORDER}
     triggered = tuple(t for t in TYPE_ORDER if scores[t] > epsilon)
     dominant = max(TYPE_ORDER, key=lambda t: (scores[t], -TYPE_ORDER.index(t)))
-    return RoutingResult(scores=scores, triggered=triggered, dominant=dominant)
+    return RoutingResult(triggered=triggered, dominant=dominant)
 
 
 @dataclass

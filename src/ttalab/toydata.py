@@ -10,19 +10,17 @@ something to route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import canonical_json, file_digest, read_json, read_lines
+from .artifacts import canonical_json, file_digest
 from .genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
 from .optim import UpdateRuleConfig
 from .safebank import SafeBank, ingest
 from .scoring import (
     BiasMonitor,
     LexiconScorer,
-    load_lexicon,
     report_score,
     save_lexicon,
 )
@@ -319,19 +317,6 @@ def fisher_corpus(seed: int = 0, n: int = 32) -> list[str]:
     return biased_corpus(seed + 6, n=n)
 
 
-@dataclass
-class Scenario:
-    model: ToyLM
-    evaluator: ToyLM
-    bank: SafeBank
-    prompts: list[str]
-    fisher_texts: list[str]
-    trigger_scorers: list[LexiconScorer]
-    report_scorers: list[LexiconScorer]
-    cue_scorers: dict[str, LexiconScorer]
-    manifest: dict
-
-
 def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
                    per_type: int = 40) -> dict:
     """Materialize every scenario artifact plus a digest manifest."""
@@ -374,36 +359,3 @@ def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
     }
     (directory / "scenario.json").write_text(canonical_json(manifest) + "\n")
     return manifest
-
-
-def load_scenario(directory, verify: bool = True) -> Scenario:
-    directory = Path(directory)
-    manifest = read_json(directory / "scenario.json")
-    if manifest.get("kind") != SCENARIO_KIND:
-        raise ValueError(f"{directory}: not a scenario directory")
-    if manifest.get("format_version") != SCENARIO_VERSION:
-        raise ValueError(f"{directory}: unsupported scenario version")
-    if verify:
-        for name, want in manifest["files"].items():
-            got = file_digest(directory / name)
-            if got != want:
-                raise ValueError(f"{directory / name}: digest mismatch")
-
-    trigger = [load_lexicon(directory / n) for n in manifest["lexicons"]["trigger"]]
-    report = [load_lexicon(directory / n) for n in manifest["lexicons"]["report"]]
-    cues = {}
-    for n in manifest["lexicons"]["cue"]:
-        bias_type = n.removesuffix(".tsv").removeprefix("cue_")
-        cues[bias_type] = load_lexicon(directory / n, scorer_id=f"cue-{bias_type}")
-
-    return Scenario(
-        model=ToyLM.load(directory / "model.json"),
-        evaluator=ToyLM.load(directory / "evaluator.json"),
-        bank=SafeBank.load(directory / "bank.jsonl"),
-        prompts=read_lines(directory / "prompts.txt"),
-        fisher_texts=read_lines(directory / "fisher_corpus.txt"),
-        trigger_scorers=trigger,
-        report_scorers=report,
-        cue_scorers=cues,
-        manifest=manifest,
-    )

@@ -133,7 +133,7 @@ def aligned_pairs(history_ids, entries, vocab, separator: str):
     """(context, target) token pairs: history + separator -> entry.
 
     The whole history goes in; the likelihood kernel reads only its last
-    `context_window` tokens."""
+    `order` tokens."""
     context = list(history_ids) + vocab.encode(separator)
     pairs = []
     for entry in entries:
@@ -145,27 +145,26 @@ def aligned_pairs(history_ids, entries, vocab, separator: str):
 
 
 def _update_round(model, pairs, cfg: UpdateRuleConfig, phi0, pre_diag,
-                  opt_state) -> UpdateRound:
+                  opt_state, routed_type: str, entry_texts: list[str]) -> UpdateRound:
     losses, grad_norms, delta_norms = [], [], []
     for _ in range(cfg.steps):
         loss, grad = model.adapter_gradient(pairs)
         losses.append(loss)
-        if cfg.lambda_reg:
-            grad = grad + cfg.lambda_reg * (model.adapter_flat() - phi0)
-        g = clip_gradient(grad, cfg.clip_coef)
         phi = model.adapter_flat()
+        if cfg.lambda_reg:
+            grad = grad + cfg.lambda_reg * (phi - phi0)
+        g = clip_gradient(grad, cfg.clip_coef)
         if cfg.kind == "precond":
-            outcome = precond_step(phi, g, pre_diag, cfg.lr)
+            step = precond_step(g, pre_diag, cfg.lr)
         elif cfg.kind == "sgd":
-            outcome = sgd_step(phi, g, cfg.lr)
+            step = sgd_step(g, cfg.lr)
         else:
-            outcome = adamw_step(opt_state, phi, g, cfg.lr)
-        delta = cap_delta(outcome.delta, cfg.max_delta_norm)
-        grad_norms.append(outcome.grad_norm)
+            step = adamw_step(opt_state, phi, g, cfg.lr)
+        delta = cap_delta(step, cfg.max_delta_norm)
+        grad_norms.append(float(np.linalg.norm(g)))
         delta_norms.append(float(np.linalg.norm(delta)))
         model.apply_delta(delta)
-    # routed_type and entry_texts are filled in by the caller
-    return UpdateRound(routed_type="", entry_texts=[], losses=losses,
+    return UpdateRound(routed_type=routed_type, entry_texts=entry_texts, losses=losses,
                        grad_norms=grad_norms, delta_norms=delta_norms)
 
 
@@ -244,11 +243,9 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
                     episode_flags.append("bank_empty")
                     continue
                 pairs = aligned_pairs(history, entries, model.vocab, config.separator)
-                round_log = _update_round(model, pairs, cfg, phi0, pre_diag,
-                                          opt_state)
-                round_log.routed_type = rtype
-                round_log.entry_texts = [e.text for e in entries]
-                rounds.append(round_log)
+                rounds.append(_update_round(model, pairs, cfg, phi0, pre_diag,
+                                            opt_state, rtype,
+                                            [e.text for e in entries]))
             update_total += time.perf_counter() - t1
 
         drift = float(np.linalg.norm(model.adapter_flat() - phi0))

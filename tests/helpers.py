@@ -7,6 +7,14 @@ import math
 import numpy as np
 
 from ttalab.genmodel import softmax
+from ttalab.optim import (
+    AdamWState,
+    adamw_step,
+    cap_delta,
+    clip_gradient,
+    precond_step,
+    sgd_step,
+)
 from ttalab.safebank import DEFAULT_SEPARATOR
 
 
@@ -33,15 +41,15 @@ class BernoulliModel:
     def model_digest(self):
         return f"bernoulli-{self.phi}"
 
-    def next_token_logprobs(self, history):
-        return np.log([1.0 - self.p1, self.p1])
+    def logits(self, history):
+        return np.array([0.0, self.phi])
 
     def sample_segment(self, history, settings, rng):
         return [int(rng.random() < self.p1) for _ in range(settings.tokens_per_segment)]
 
     def adapter_gradient(self, batch):
         # d log p(1)/dphi = 1 - p1 ; d log p(0)/dphi = -p1
-        logp = self.next_token_logprobs(())
+        logp = log_softmax(self.logits(()))
         nll = total = 0.0
         for _, target in batch:
             for y in target:
@@ -55,7 +63,6 @@ class ZeroFeatureMap:
 
     kind = "zero"
     order = 0
-    context_window = 0
 
     def __init__(self, dimension):
         self.dimension = dimension
@@ -84,6 +91,11 @@ class FixedScorer:
 # -- per-token loop oracles for the teacher-forced kernel ------------------------
 
 
+def log_softmax(z):
+    z = z - z.max()
+    return z - math.log(np.exp(z).sum())
+
+
 def reference_sequence_log_prob(model, target, history=()):
     """Sum of log P(target[t] | history + target[:t]), one token at a time."""
     target = [int(t) for t in target]
@@ -92,7 +104,7 @@ def reference_sequence_log_prob(model, target, history=()):
     ctx = list(history)
     total = 0.0
     for y in target:
-        total += float(model.next_token_logprobs(ctx)[y])
+        total += float(log_softmax(model.logits(ctx))[y])
         ctx.append(y)
     return total
 
@@ -153,3 +165,28 @@ def context_align(history, entry_text, max_len_update=256, separator=DEFAULT_SEP
         words = [str(w) for w in history]
     tail = words[-max_len_update:] if max_len_update > 0 else []
     return " ".join(tail + [separator] + entry_text.split())
+
+
+def reference_update_round(model, pairs, cfg, phi0, pre_diag):
+    """One update round written step by step: lambda-regularise the
+    gradient, clip it, take the rule's step, cap the step, apply it.
+    Returns (losses, grad_norms, delta_norms); a grad norm is the norm of
+    the clipped gradient. AdamW state starts at zero."""
+    state = AdamWState.zeros(model.param_count)
+    losses, grad_norms, delta_norms = [], [], []
+    for _ in range(cfg.steps):
+        phi = model.adapter_flat()
+        loss, grad = model.adapter_gradient(pairs)
+        g = clip_gradient(grad + cfg.lambda_reg * (phi - phi0), cfg.clip_coef)
+        if cfg.kind == "precond":
+            step = precond_step(g, pre_diag, cfg.lr)
+        elif cfg.kind == "sgd":
+            step = sgd_step(g, cfg.lr)
+        else:
+            step = adamw_step(state, phi, g, cfg.lr)
+        delta = cap_delta(step, cfg.max_delta_norm)
+        model.set_adapter_flat(phi + delta)
+        losses.append(loss)
+        grad_norms.append(float(np.linalg.norm(g)))
+        delta_norms.append(float(np.linalg.norm(delta)))
+    return losses, grad_norms, delta_norms

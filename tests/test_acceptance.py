@@ -542,16 +542,17 @@ def test_criterion_12_cost_structure(scenario, tmp_path, monkeypatch):
     g = rng.normal(size=n)
     pre_diag = rng.uniform(0.5, 2.0, size=n)
 
-    def best_per_step(fn, reps=7, steps=300):
-        best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            for _ in range(steps):
-                fn()
-            best = min(best, (time.perf_counter() - t0) / steps)
-        return best
-
-    t_precond = best_per_step(lambda: precond_step(phi, g, pre_diag, 1e-3))
     state = AdamWState.zeros(n)
-    t_adamw = best_per_step(lambda: adamw_step(state, phi, g, 3e-4))
-    assert t_precond <= 1.10 * t_adamw, (t_precond, t_adamw)
+    rules = {"precond": lambda: precond_step(g, pre_diag, 1e-3),
+             "adamw": lambda: adamw_step(state, phi, g, 3e-4)}
+    best = dict.fromkeys(rules, math.inf)
+    # the two rules take turns within each rep, and the one that goes first
+    # alternates, so a burst of host load lands on both sides, not one
+    for rep in range(7):
+        order = ("precond", "adamw") if rep % 2 == 0 else ("adamw", "precond")
+        for name in order:
+            t0 = time.perf_counter()
+            for _ in range(300):
+                rules[name]()
+            best[name] = min(best[name], (time.perf_counter() - t0) / 300)
+    assert best["precond"] <= 1.10 * best["adamw"], best

@@ -14,6 +14,7 @@ from ttalab.genmodel import (
     ToyLM,
     Vocabulary,
     init_adapter,
+    softmax,
 )
 
 
@@ -90,8 +91,7 @@ def test_uniform_when_weights_zero():
     fmap = NgramOneHot(len(v))
     adapter = AdapterParams(np.zeros((2, fmap.dimension)), np.zeros((len(v), 2)), alpha=2.0)
     m = ToyLM(v, np.zeros((len(v), fmap.dimension)), adapter, fmap)
-    lp = m.next_token_logprobs([1])
-    np.testing.assert_allclose(lp, math.log(0.25) * np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(softmax(m.logits([1])), 0.25 * np.ones(4), atol=1e-12)
     assert m.sequence_log_prob([0, 3, 2]) == pytest.approx(3 * math.log(0.25), abs=1e-12)
 
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from ttalab import toydata
-from ttalab.scoring import BiasMonitor, report_score
+from ttalab.artifacts import read_lines
+from ttalab.genmodel import ToyLM
+from ttalab.safebank import SafeBank
+from ttalab.scoring import BiasMonitor, load_lexicon, report_score
 
 EPS = toydata.SCENARIO_DEFAULTS["epsilon"]
 
@@ -108,27 +111,24 @@ def test_scenario_roundtrip(tmp_path):
     man2 = toydata.write_scenario(tmp_path / "b", seed=0, n_prompts=12, per_type=10)
     assert man1 == man2  # byte-stable artifacts, digests included
 
-    sc = toydata.load_scenario(tmp_path / "a")
-    assert len(sc.prompts) == 12
-    assert sc.bank.counts()["race"] == 10
-    assert sc.model.param_count == toydata.build_generator(0).param_count
-    assert sc.fisher_texts == toydata.fisher_corpus(0)
+    d = tmp_path / "a"
+    assert len(read_lines(d / "prompts.txt")) == 12
+    assert SafeBank.load(d / "bank.jsonl").counts()["race"] == 10
+    assert (ToyLM.load(d / "model.json").param_count
+            == toydata.build_generator(0).param_count)
+    assert read_lines(d / "fisher_corpus.txt") == toydata.fisher_corpus(0)
 
     # loaded committees reproduce the in-memory scores exactly
+    trigger = [load_lexicon(d / n) for n in man1["lexicons"]["trigger"]]
+    cues = {}
+    for n in man1["lexicons"]["cue"]:
+        bias_type = n.removesuffix(".tsv").removeprefix("cue_")
+        cues[bias_type] = load_lexicon(d / n, scorer_id=f"cue-{bias_type}")
     monitor_mem = toydata.build_monitor()
-    monitor_load = BiasMonitor(sc.trigger_scorers, sc.cue_scorers)
+    monitor_load = BiasMonitor(trigger, cues)
     for text in ["the blorix rotten", "kravens are so cruel", "the tree grows"]:
         assert (monitor_load.evaluate(text, EPS).committee_mean
                 == monitor_mem.evaluate(text, EPS).committee_mean)
-
-
-def test_scenario_digest_check(tmp_path):
-    toydata.write_scenario(tmp_path, seed=0, n_prompts=12, per_type=10)
-    (tmp_path / "prompts.txt").write_text("tampered\n")
-    with pytest.raises(ValueError, match="digest mismatch"):
-        toydata.load_scenario(tmp_path)
-    sc = toydata.load_scenario(tmp_path, verify=False)
-    assert sc.prompts == ["tampered"]
 
 
 def test_default_config_matches_manifest_defaults():

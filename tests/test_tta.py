@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import context_align
+from helpers import context_align, reference_update_round
 from ttalab.genmodel import NgramOneHot, ToyLM, Vocabulary, init_adapter
 from ttalab.metrics import perplexity
+from ttalab.optim import AdamWState, UpdateRuleConfig
 from ttalab.precond import DigestMismatchError, build_preconditioner, estimate_diag_fisher
 from ttalab.safebank import ingest
 from ttalab.scoring import (
@@ -18,6 +19,7 @@ from ttalab.scoring import (
 from ttalab.tta import (
     EpisodeConfig,
     EpisodeRecord,
+    _update_round,
     aligned_pairs,
     drift_report,
     load_episodes,
@@ -208,6 +210,30 @@ def test_updates_fire_and_reduce_loss():
     assert round0.losses[-1] < round0.losses[0]
     assert all(n <= 0.25 + 1e-12 for s in rec.segments
                for r in s.rounds for n in r.delta_norms)
+
+
+@pytest.mark.parametrize("kind", ["precond", "sgd", "adamw"])
+def test_update_round_matches_per_step_reference(kind):
+    model = biased_model()
+    pre_diag = fitted_preconditioner(model).diag
+    entries = safe_bank().entries["race"][:2]
+    pairs = aligned_pairs(model.vocab.encode("blorix bad awful"), entries,
+                          model.vocab, separator="<sep>")
+    # the default clip_coef of 1.0 clips every step here (raw norms 1.5-3.7),
+    # and the preconditioned steps also hit the 0.25 cap
+    cfg = UpdateRuleConfig(kind=kind, steps=6)
+    phi0 = model.adapter_flat()
+    ref = model.clone()
+    texts = [e.text for e in entries]
+    got = _update_round(model, pairs, cfg, phi0, pre_diag,
+                        AdamWState.zeros(model.param_count), "race", texts)
+    losses, grad_norms, delta_norms = reference_update_round(ref, pairs, cfg, phi0,
+                                                             pre_diag)
+    assert (got.routed_type, got.entry_texts) == ("race", texts)
+    assert got.losses == losses
+    assert got.grad_norms == grad_norms
+    assert got.delta_norms == delta_norms
+    np.testing.assert_array_equal(model.adapter_flat(), ref.adapter_flat())
 
 
 def test_drift_ledger_and_monotonicity():
