@@ -30,7 +30,7 @@ target /= target.sum()
 
 def loss_and_grad(phi):
     logp = space.outcome_logprobs(phi)
-    scores = space.score_matrix()
+    scores = space.score_matrix(phi)
     return float(-(target @ logp)), -(target @ scores)
 
 
@@ -68,7 +68,6 @@ for rule in ("precond", "sgd", "adamw"):
     best[rule] = (LRS[pick], candidates[pick])
     print("%-8s best lr %.3f  final loss %.6f" % (rule, LRS[pick], finals[pick]))
 
-model.set_adapter_flat(phi0)
 print()
 print("step      precond        sgd      adamw")
 for i in (0, 5, 10, 20, 40, 80):

@@ -68,6 +68,16 @@ def write_json(path, obj) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def check_header(doc, kind: str, version: int, path) -> None:
+    """Raise ValueError unless `doc` is a `kind` artifact at `format_version`
+    `version`."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a {kind} artifact")
+    if doc.get("format_version") != version:
+        raise ValueError(f"{path}: unsupported {kind} format version "
+                         f"{doc.get('format_version')!r}")
+
+
 def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 

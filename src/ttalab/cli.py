@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, ood as oodmod
-from .artifacts import canonical_json, file_digest, read_json, read_lines, write_json, write_text
+from .artifacts import (canonical_json, check_header, file_digest, read_json, read_lines,
+                        write_json, write_text)
 from .genmodel import ToyLM
 from .metrics import aggregate_run, fluency, perplexity, summary_table
 from .optim import UpdateRuleConfig
@@ -487,10 +488,7 @@ def cmd_run(args) -> int:
 
 def load_manifest(path) -> dict:
     d = read_json(path)
-    if d.get("kind") != MANIFEST_KIND:
-        raise CliError(EXIT_CONFIG, f"{path}: not a run manifest")
-    if d.get("format_version") != MANIFEST_VERSION:
-        raise CliError(EXIT_CONFIG, f"{path}: unsupported manifest version")
+    check_header(d, MANIFEST_KIND, MANIFEST_VERSION, path)
     for key in MANIFEST_KEYS:
         _config_value(d, key)  # a KeyError names the missing key
     for name, entry in d["artifacts"].items():
@@ -557,7 +555,7 @@ def cmd_ablate(args) -> int:
         code = cmd_run(sub)
         if code != EXIT_OK:
             return code
-        load_manifest(out_root / tag / "manifest.json")
+        _load("run manifest", load_manifest, out_root / tag / "manifest.json")
         rows.append((tag, aggregate_run(load_metric_rows(out_root / tag / "metrics.json"))))
 
     table = summary_table(dict(rows))
@@ -596,32 +594,42 @@ def _embedding_set(cfg: dict, section: str, model, label: str):
                        f"ood config section {section!r} needs exactly one of "
                        "texts/embeddings")
     if spec["embeddings"] is not None:
-        return oodmod.EmbeddingSet.load(_resolve(cfg, f"{section}.embeddings"))
+        return _load("embeddings", oodmod.EmbeddingSet.load,
+                     _resolve(cfg, f"{section}.embeddings"))
     if model is None:
         raise CliError(EXIT_CONFIG,
                        f"ood config: section {section!r} gives texts, so a model "
                        "path is required for embedding")
     path = _resolve(cfg, f"{section}.texts")
-    texts = read_lines(path)
+    texts = _load("texts", read_lines, path)
     if not texts:
         raise CliError(EXIT_CONFIG, f"text file {path} is empty")
-    return oodmod.embed_corpus(model, texts, label=label, source=str(path))
+    # the digest names the input without tying the output to where it lives
+    return oodmod.embed_corpus(model, texts, label=label, source=file_digest(path))
 
 
 def cmd_ood(args) -> int:
     cfg = load_config(args.config, OOD_SCHEMA, args.set or ())
-    model = ToyLM.load(_resolve(cfg, "model")) if cfg["model"] else None
-    out_dir = _resolve(cfg, "output_dir", must_exist=False)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     known = ("knn", "mahalanobis", "llr")
     bad = [d for d in cfg["detectors"] if d not in known]
     if bad:
         raise CliError(EXIT_CONFIG, f"unknown detectors {bad}; choose from {known}")
+    if "llr" in cfg["detectors"]:
+        if cfg["model"] is None or cfg["background_model"] is None:
+            raise CliError(EXIT_CONFIG, "detector llr needs model and background_model")
+        if cfg["id"]["texts"] is None or cfg["ood"]["texts"] is None:
+            raise CliError(EXIT_CONFIG, "detector llr needs id/ood text files")
+        bg = _load("model", ToyLM.load, _resolve(cfg, "background_model"))
+    model = _load("model", ToyLM.load, _resolve(cfg, "model")) if cfg["model"] else None
 
     reference = _embedding_set(cfg, "reference", model, "reference")
     id_set = _embedding_set(cfg, "id", model, "id")
     ood_set = _embedding_set(cfg, "ood", model, "ood")
+    if "knn" in cfg["detectors"] and not 1 <= cfg["k"] <= len(reference):
+        raise CliError(EXIT_CONFIG, f"k={cfg['k']} out of range for a reference set "
+                                    f"of {len(reference)} vectors")
+    out_dir = _resolve(cfg, "output_dir", must_exist=False)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, es in (("reference", reference), ("id", id_set), ("ood", ood_set)):
         es.save(out_dir / f"{name}.emb.txt")
 
@@ -639,12 +647,6 @@ def cmd_ood(args) -> int:
             s_id = np.array([oodmod.mahalanobis_score(v, mu, sigma)
                              for v in id_set.vectors])
         else:
-            if model is None or cfg["background_model"] is None:
-                raise CliError(EXIT_CONFIG,
-                               "detector llr needs model and background_model")
-            if cfg["id"]["texts"] is None or cfg["ood"]["texts"] is None:
-                raise CliError(EXIT_CONFIG, "detector llr needs id/ood text files")
-            bg = ToyLM.load(_resolve(cfg, "background_model"))
             id_texts = read_lines(_resolve(cfg, "id.texts"))
             ood_texts = read_lines(_resolve(cfg, "ood.texts"))
             s_id = np.array([oodmod.llr_score(t, model, bg) for t in id_texts])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import decode_array, digest_obj, encode_array, read_json, write_json
+from .artifacts import check_header, decode_array, digest_obj, encode_array, read_json, write_json
 
 OOV_TOKEN = "<unk>"
 CHECKPOINT_KIND = "toy-lm"
@@ -133,6 +133,14 @@ class AdapterParams:
 
     def delta(self) -> np.ndarray:
         return self.scale * (self.b @ self.a)
+
+    def flat_gradient(self, gw: np.ndarray) -> np.ndarray:
+        """Chain rule through W = W_base + s * B @ A: weight gradients `gw` of
+        shape (..., vocab, dim) to flat adapter gradients (..., size)."""
+        lead = gw.shape[:-2]
+        ga = self.scale * (self.b.T @ gw)
+        gb = self.scale * (gw @ self.a.T)
+        return np.concatenate([ga.reshape(lead + (-1,)), gb.reshape(lead + (-1,))], axis=-1)
 
 
 def init_adapter(rng: np.random.Generator, vocab_size: int, dim: int,
@@ -275,12 +283,16 @@ class ToyLM:
         feats = np.zeros((len(targets), self.fmap.dimension))
         np.add.at(feats, (row_ids, cols), 1.0)
         targets = np.array(targets, dtype=np.intp)
+        logp, probs = self.softmax_rows(feats)
+        return feats, targets, logp[np.arange(len(targets)), targets], probs
+
+    def softmax_rows(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log-probs, probs) of the next token, one row per feature row."""
         z = feats @ self.combined_weight().T
         z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
         total = e.sum(axis=1)
-        logp = z[np.arange(len(targets)), targets] - np.log(total)
-        return feats, targets, logp, e / total[:, None]
+        return z - np.log(total)[:, None], e / total[:, None]
 
     def adapter_gradient(self, batch):
         """Mean negative log-likelihood over the batch and its flat gradient.
@@ -294,14 +306,8 @@ class ToyLM:
             raise ValueError("empty update batch")
         feats, targets, logp, resid = self._teacher_forced(batch)
         resid[np.arange(len(targets)), targets] -= 1.0  # d(-log p)/dz per row
-        # gradient with respect to the combined weight W = W_base + s * B @ A,
-        # then the chain rule through the low-rank product
-        gw = resid.T @ feats
-        s = self.adapter.scale
-        ga = s * (self.adapter.b.T @ gw)
-        gb = s * (gw @ self.adapter.a.T)
         m = float(len(batch))
-        return -float(logp.sum()) / m, np.concatenate([ga.ravel(), gb.ravel()]) / m
+        return -float(logp.sum()) / m, self.adapter.flat_gradient(resid.T @ feats) / m
 
     # -- persistence ---------------------------------------------------------
 
@@ -326,10 +332,7 @@ class ToyLM:
     @classmethod
     def load(cls, path) -> "ToyLM":
         d = read_json(path)
-        if d.get("kind") != CHECKPOINT_KIND:
-            raise ValueError(f"{path}: not a {CHECKPOINT_KIND} checkpoint")
-        if d.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {d.get('format_version')}")
+        check_header(d, CHECKPOINT_KIND, CHECKPOINT_VERSION, path)
         if d["feature"]["kind"] != NgramOneHot.kind:
             raise ValueError(f"unknown feature map {d['feature']['kind']!r}")
         vocab = Vocabulary(d["vocab"])

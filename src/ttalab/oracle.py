@@ -3,8 +3,9 @@
 This module is test infrastructure: exponential tilting and the KL
 projection onto the expected-bias sublevel set, exact KL against its Fisher
 quadratic, empirical-gradient statistics, and the one-step expected descent
-bound. Everything here is exact (full enumeration) or Monte Carlo with
-reported standard errors; the adaptation loop never imports it.
+bound. Everything here is exact (full enumeration over the genmodel
+likelihood kernel) or Monte Carlo with reported standard errors; the
+adaptation loop never imports it.
 """
 
 from __future__ import annotations
@@ -154,8 +155,9 @@ class SequenceSpace:
 
     Windows (distinct feature contexts encountered anywhere in the space)
     are enumerated once; per-parameter score vectors and outcome log-probs
-    for any adapter state are then dense-array operations. Budget-guarded:
-    |V|^T outcomes at most `budget`.
+    at `phi_flat` (None: the adapter state the space was built at) are
+    then dense-array operations. Budget-guarded: |V|^T outcomes at most
+    `budget`.
     """
 
     def __init__(self, model, context, length: int, budget: int = 10 ** 6):
@@ -165,6 +167,7 @@ class SequenceSpace:
         if vsize ** length > budget:
             raise ValueError(f"enumeration budget exceeded: {vsize}^{length}")
         self.model = model.clone()
+        self.phi0 = model.adapter_flat()
         self.context = [int(t) for t in context]
         self.length = length
         self.vsize = vsize
@@ -192,45 +195,28 @@ class SequenceSpace:
     def n_outcomes(self) -> int:
         return self.outcomes.shape[0]
 
-    def _with_phi(self, phi_flat):
-        if phi_flat is not None:
-            self.model.set_adapter_flat(phi_flat)
+    def _at(self, phi_flat):
+        self.model.set_adapter_flat(self.phi0 if phi_flat is None else phi_flat)
         return self.model
 
     def logprob_table(self, phi_flat=None) -> np.ndarray:
         """(W, V) next-token log-probs for every window."""
-        model = self._with_phi(phi_flat)
-        logits = self.features @ model.combined_weight().T
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return shifted - lse
+        return self._at(phi_flat).softmax_rows(self.features)[0]
 
     def outcome_logprobs(self, phi_flat=None) -> np.ndarray:
-        table = self.logprob_table(phi_flat)
-        toks = self.outcomes
-        return table[self.win_idx, toks].sum(axis=1)
+        return self.logprob_table(phi_flat)[self.win_idx, self.outcomes].sum(axis=1)
 
     def probs(self, phi_flat=None) -> np.ndarray:
         return np.exp(self.outcome_logprobs(phi_flat))
 
     def score_matrix(self, phi_flat=None) -> np.ndarray:
         """(N, n) per-outcome score vectors: grad_phi log p(outcome | context)."""
-        model = self._with_phi(phi_flat)
-        a, b = model.adapter.a, model.adapter.b
-        s = model.adapter.scale
-        probs = np.exp(self.logprob_table())            # (W, V)
-        # residual e_y - p_w for every (window, token) pair
-        eye = np.eye(self.vsize)
-        resid = eye[None, :, :] - probs[:, None, :]      # (W, Vtok, Vout)
-        u = self.features @ a.T                          # (W, r)
-        grad_b = s * np.einsum("wyv,wr->wyvr", resid, u)  # (W, V, Vout, r)
-        bt_resid = np.einsum("kr,wyk->wyr", b, resid)    # (W, V, r)
-        grad_a = s * np.einsum("wyr,wd->wyrd", bt_resid, self.features)
-        n_a = a.size
-        table = np.concatenate([
-            grad_a.reshape(len(self.windows), self.vsize, n_a),
-            grad_b.reshape(len(self.windows), self.vsize, b.size),
-        ], axis=2)                                       # (W, V, n)
+        model = self._at(phi_flat)
+        probs = model.softmax_rows(self.features)[1]     # (W, V)
+        # d log p(y | w) / dW = (e_y - p_w) f_w^T for every (window, token) pair
+        resid = np.eye(self.vsize)[None, :, :] - probs[:, None, :]   # (W, V, V)
+        gw = resid[..., None] * self.features[:, None, None, :]       # (W, V, V, d)
+        table = model.adapter.flat_gradient(gw)                       # (W, V, n)
         return table[self.win_idx, self.outcomes].sum(axis=1)
 
     def grad_J(self, weights, phi_flat=None) -> np.ndarray:
@@ -239,17 +225,13 @@ class SequenceSpace:
         return -(np.asarray(weights) @ scores)
 
     def fisher_full(self, phi_flat=None) -> np.ndarray:
-        p = self.probs(phi_flat)
-        s = self.score_matrix()
-        mean = p @ s
-        centered = s - mean
+        p, s = self.probs(phi_flat), self.score_matrix(phi_flat)
+        centered = s - p @ s
         return (centered * p[:, None]).T @ centered
 
     def fisher_diag(self, phi_flat=None) -> np.ndarray:
-        p = self.probs(phi_flat)
-        s = self.score_matrix()
-        mean = p @ s
-        return p @ (s ** 2) - mean ** 2
+        p, s = self.probs(phi_flat), self.score_matrix(phi_flat)
+        return p @ (s ** 2) - (p @ s) ** 2
 
 
 # -- KL vs Fisher quadratic ---------------------------------------------------------
@@ -276,7 +258,6 @@ def kl_vs_fisher_quadratic(model, context, length: int, delta,
         quad = (c ** 2) * quad_unit
         ratio = math.nan if quad == 0.0 else kl / quad
         rows.append({"scale": c, "kl": kl, "quadratic": quad, "ratio": ratio})
-    space.model.set_adapter_flat(phi0)
     return rows
 
 
@@ -429,7 +410,7 @@ def descent_bound_check(model, precond_diag, context, length: int,
         else:
             phi_t = phi0.copy()
         logp_t = space.outcome_logprobs(phi_t)
-        scores = space.score_matrix()
+        scores = space.score_matrix(phi_t)
         j_t = float(-(weights @ logp_t))
         g = -(weights @ scores)
         fisher_diag = weights @ (scores ** 2) - (weights @ scores) ** 2
@@ -452,7 +433,6 @@ def descent_bound_check(model, precond_diag, context, length: int,
         if mean_new <= rhs + 3 * se:
             ok += 1
         details.append({"J": j_t, "rhs": rhs, "mean_new": mean_new, "se": se})
-    space.model.set_adapter_flat(phi0)
     return DescentBoundReport(fraction_ok=ok / trials, margins=margins,
                               standard_errors=ses, lipschitz=lip, trials=trials,
                               alpha=alpha, m=m, details=details)

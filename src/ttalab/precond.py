@@ -4,7 +4,7 @@ The reference Fisher is estimated once, at the episode-start adapter state,
 by sampling continuations from the model itself on a safe corpus and
 averaging squared score entries; the preconditioner is the damped inverse
 of that diagonal and is reused across every episode. The exact Fisher of
-an enumerable model is oracle.SequenceSpace.fisher_diag.
+an enumerable model is oracle.SequenceSpace.fisher_diag, on the same kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import decode_array, digest_obj, encode_array, read_json, write_json
+from .artifacts import check_header, decode_array, digest_obj, encode_array, read_json, write_json
 from .genmodel import GenerationSettings
 
 PRECOND_KIND = "preconditioner"
@@ -148,10 +148,7 @@ class Preconditioner:
     @classmethod
     def load(cls, path, model=None) -> "Preconditioner":
         d = read_json(path)
-        if d.get("kind") != PRECOND_KIND:
-            raise ValueError(f"{path}: not a preconditioner artifact")
-        if d.get("format_version") != PRECOND_VERSION:
-            raise ValueError(f"{path}: unsupported format version")
+        check_header(d, PRECOND_KIND, PRECOND_VERSION, path)
         meta = {k: v for k, v in d.items()
                 if k not in ("kind", "format_version", "n", "damping", "diag", "fisher_diag")}
         pre = cls(diag=decode_array(d["diag"]), damping=d["damping"],

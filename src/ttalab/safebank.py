@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import check_header, read_jsonl, write_jsonl
 from .scoring import TYPE_ORDER
 
 BANK_KIND = "safebank"
@@ -69,10 +69,7 @@ class SafeBank:
     @classmethod
     def load(cls, path) -> "SafeBank":
         header, records = read_jsonl(path)
-        if header.get("kind") != BANK_KIND:
-            raise ValueError(f"{path}: not a safebank file")
-        if header.get("format_version") != BANK_VERSION:
-            raise ValueError(f"{path}: unsupported format version")
+        check_header(header, BANK_KIND, BANK_VERSION, path)
         threshold = header.get("filter", 0.2)
         entries: dict[str, list[SafeEntry]] = {t: [] for t in TYPE_ORDER}
         generic: list[SafeEntry] = []

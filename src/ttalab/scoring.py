@@ -232,6 +232,7 @@ class PluginScorer:
         self.field = field
         self.timeout = timeout
         self._proc = None
+        self._pump = None
         self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
         self._lock = threading.Lock()
@@ -239,6 +240,7 @@ class PluginScorer:
     def _ensure_started(self):
         if self._proc is not None and self._proc.poll() is None:
             return
+        self.close()  # a plugin that died still holds its pipes
         self._proc = subprocess.Popen(
             self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
@@ -246,14 +248,25 @@ class PluginScorer:
             for line in stream:
                 q.put(line)
 
-        threading.Thread(target=pump, args=(self._proc.stdout, self._lines),
-                         daemon=True).start()
+        self._pump = threading.Thread(target=pump, args=(self._proc.stdout, self._lines),
+                                      daemon=True)
+        self._pump.start()
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.terminate()
-            self._proc.wait(timeout=2.0)
-        self._proc = None
+        """End the plugin, then close its pipes once the reader has seen EOF."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        if proc.poll() is None:
+            proc.terminate()
+            proc.wait(timeout=2.0)
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # text still buffered for a reader that is gone
+        self._pump.join(timeout=2.0)
+        if not self._pump.is_alive():  # a close under a blocked read would wait on it
+            proc.stdout.close()
 
     def __enter__(self):
         self._ensure_started()

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import check_header, read_jsonl, write_jsonl
 from .genmodel import GenerationSettings
 from .optim import (
     AdamWState,
@@ -318,8 +318,5 @@ def save_episodes(path, records, meta: dict | None = None) -> None:
 
 def load_episodes(path):
     header, rows = read_jsonl(path)
-    if header.get("kind") != EPISODES_KIND:
-        raise ValueError(f"{path}: not an episode-record artifact")
-    if header.get("format_version") != EPISODES_VERSION:
-        raise ValueError(f"{path}: unsupported format version")
+    check_header(header, EPISODES_KIND, EPISODES_VERSION, path)
     return header, [EpisodeRecord.from_record(r) for r in rows]

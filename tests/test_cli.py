@@ -674,6 +674,44 @@ def test_ood_unknown_detector(ood_ws, tmp_path):
                      "--set", f"output_dir={tmp_path / 'o'}"]) == 2
 
 
+@pytest.mark.parametrize("damage, sets", [
+    ("model", []),
+    ("background_model", ['detectors=["llr"]', "background_model=bg.json"]),
+    ("embeddings", ["reference.texts=null", "reference.embeddings=ref.emb.txt"]),
+    ("k", ["k=26"]),
+], ids=["model", "background_model", "embeddings", "k"])
+def test_ood_bad_input_is_config_error(ood_ws, tmp_path, capsys, damage, sets):
+    shutil.copytree(ood_ws / "scenario", tmp_path / "scenario")
+    for name in ("ood.json", "ref.txt", "id.txt", "oodset.txt"):
+        shutil.copy(ood_ws / name, tmp_path / name)
+    model = (tmp_path / "scenario" / "model.json").read_bytes()
+    (tmp_path / "bg.json").write_bytes(model)
+    (tmp_path / "ref.emb.txt").write_text("3 2 digest reference\n0 1 2\n0 1\n")
+    if damage == "model":
+        (tmp_path / "scenario" / "model.json").write_bytes(model[:100])
+    elif damage == "background_model":
+        (tmp_path / "bg.json").write_bytes(model[:100])
+    code = cli.main(["ood", "--config", str(tmp_path / "ood.json"),
+                     *[a for s in sets for a in ("--set", s)]])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "oodrun").exists()
+
+
+def test_ood_output_independent_of_input_location(ood_ws, tmp_path):
+    # a path with whitespace is fine, and the .emb.txt headers name each
+    # input by digest, so two copies of one workspace write the same bytes
+    for where in ("a", "b c"):
+        root = tmp_path / where
+        shutil.copytree(ood_ws / "scenario", root / "scenario")
+        for name in ("ood.json", "ref.txt", "id.txt", "oodset.txt"):
+            shutil.copy(ood_ws / name, root / name)
+        assert cli.main(["ood", "--config", str(root / "ood.json")]) == 0
+    for name in ("reference.emb.txt", "id.emb.txt", "ood.emb.txt", "ood.tsv", "ood.json"):
+        assert ((tmp_path / "a" / "oodrun" / name).read_bytes()
+                == (tmp_path / "b c" / "oodrun" / name).read_bytes())
+
+
 # -- report -----------------------------------------------------------------------
 
 

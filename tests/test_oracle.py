@@ -144,11 +144,33 @@ def test_space_scores_match_adapter_gradient():
     model = tiny_model(seed=6)
     ctx = model.vocab.encode("w2")
     space = SequenceSpace(model, ctx, length=2)
-    scores = space.score_matrix(model.adapter_flat())
-    for i in range(0, space.n_outcomes, 3):
-        target = [int(t) for t in space.outcomes[i]]
-        grad_nll = model.adapter_gradient([(ctx, target)])[1]
-        np.testing.assert_allclose(scores[i], -grad_nll, atol=1e-12)
+    phi0 = model.adapter_flat()
+    # the start state, then a point away from it with B != 0, so both
+    # blocks of the stacked score table are nonzero
+    phi1 = phi0 + np.random.default_rng(1).normal(0.0, 0.2, size=phi0.size)
+    n_a = model.adapter.a.size
+    for phi in (phi0, phi1):
+        model.set_adapter_flat(phi)
+        assert np.any(model.adapter.b != 0)
+        scores = space.score_matrix(phi)
+        assert np.any(scores[:, :n_a] != 0) and np.any(scores[:, n_a:] != 0)
+        for i in range(0, space.n_outcomes, 3):
+            target = [int(t) for t in space.outcomes[i]]
+            grad_nll = model.adapter_gradient([(ctx, target)])[1]
+            np.testing.assert_allclose(scores[i], -grad_nll, atol=1e-12)
+
+
+def test_space_without_phi_means_the_start_state():
+    model = tiny_model(seed=6)
+    ctx = model.vocab.encode("w0")
+    space = SequenceSpace(model, ctx, length=2)
+    phi1 = model.adapter_flat() + 0.3
+    space.probs(phi1)
+    fresh = SequenceSpace(model, ctx, length=2)
+    np.testing.assert_array_equal(space.score_matrix(), fresh.score_matrix())
+    space.probs(phi1)
+    np.testing.assert_array_equal(space.fisher_diag(), fresh.fisher_diag())
+    np.testing.assert_array_equal(space.probs(), fresh.probs())
 
 
 def test_space_fisher_matches_enumeration_oracle():

@@ -252,6 +252,16 @@ WRONG_ID_PLUGIN = textwrap.dedent("""
 """)
 
 
+DIE_ON_REQUEST_PLUGIN = textwrap.dedent("""
+    import json, sys
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["text"] == "die":
+            sys.exit(1)
+        print(json.dumps({"id": req["id"], "scores": {"tox": 0.3}}), flush=True)
+""")
+
+
 def plugin(tmp_path, code, **kw):
     script = tmp_path / "plugin.py"
     script.write_text(code)
@@ -292,3 +302,13 @@ def test_plugin_recovers_after_timeout(tmp_path):
         sc.timeout = 10.0
         assert sc.score("fast") == pytest.approx(0.4)
         assert sc.score("again") == pytest.approx(0.4)
+
+
+def test_plugin_restarts_after_it_died(tmp_path):
+    # the dead process's pipes are closed on restart: pytest turns an
+    # unclosed file into an error
+    with plugin(tmp_path, DIE_ON_REQUEST_PLUGIN, field="tox", timeout=0.5) as sc:
+        assert sc.score("first") == pytest.approx(0.3)
+        with pytest.raises(ScoringError):
+            sc.score("die")
+        assert sc.score("after") == pytest.approx(0.3)
