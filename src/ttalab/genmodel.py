@@ -81,10 +81,22 @@ class NgramOneHot:
                 idx.append((j - 1) * self.vocab_size + int(history[n - j]))
         return idx
 
-    def __call__(self, history) -> np.ndarray:
-        f = np.zeros(self.dimension)
-        f[self.active_indices(history)] = 1.0
-        return f
+    def rows(self, spans) -> np.ndarray:
+        """Feature rows of the prefixes tokens[:i], i = start .. len(tokens), of
+        each (tokens, start) span, stacked in order. Only the last `order`
+        tokens before `start` are read, so a span may carry a whole history."""
+        rows, cols, n_rows = [], [], 0
+        for tokens, start in spans:
+            n = len(tokens)
+            for j in range(1, self.order + 1):
+                # prefix tokens[:i] is row n_rows + i - start; block j holds tokens[i - j]
+                first, off = max(start, j), (j - 1) * self.vocab_size
+                rows += range(n_rows + first - start, n_rows + n - start + 1)
+                cols += [off + tokens[i - j] for i in range(first, n + 1)]
+            n_rows += n - start + 1
+        feats = np.zeros((n_rows, self.dimension))
+        feats[rows, cols] = 1.0
+        return feats
 
 
 @dataclass
@@ -265,24 +277,11 @@ class ToyLM:
         its feature vector, targets[i] the token it predicts, logp[i] that
         token's log-probability and probs[i] the next-token distribution.
         """
-        window = self.fmap.order
-        row_ids, cols, targets = [], [], []
-        for history, target in batch:
-            target = [int(t) for t in target]
-            if not target:
-                raise ValueError("target sequence must be non-empty")
-            # features see only the last `window` tokens (and the history
-            # length up to `window`), so the rest of the history is dropped
-            ctx = [int(t) for t in history[max(0, len(history) - window):]]
-            for y in target:
-                active = self.fmap.active_indices(ctx)
-                row_ids += [len(targets)] * len(active)
-                cols += active
-                targets.append(y)
-                ctx.append(y)
-        feats = np.zeros((len(targets), self.fmap.dimension))
-        np.add.at(feats, (row_ids, cols), 1.0)
-        targets = np.array(targets, dtype=np.intp)
+        if any(len(target) == 0 for _, target in batch):
+            raise ValueError("target sequence must be non-empty")
+        feats = self.fmap.rows([([*history, *target[:-1]], len(history))
+                                for history, target in batch])
+        targets = np.array([y for _, target in batch for y in target], dtype=np.intp)
         logp, probs = self.softmax_rows(feats)
         return feats, targets, logp[np.arange(len(targets)), targets], probs
 

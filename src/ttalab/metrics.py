@@ -15,7 +15,7 @@ import numpy as np
 # -- perplexity and fluency -------------------------------------------------------
 
 
-def perplexity(target, model, history=()) -> float:
+def perplexity(target, model) -> float:
     """exp of the mean negative log-likelihood under the evaluator.
 
     Returns +inf when a token has vanishing probability or the mean NLL
@@ -25,7 +25,7 @@ def perplexity(target, model, history=()) -> float:
     target = list(target)
     if not target:
         raise ValueError("perplexity of an empty sequence is undefined")
-    nll = -model.sequence_log_prob(target, history) / len(target)
+    nll = -model.sequence_log_prob(target) / len(target)
     if not math.isfinite(nll) or nll > 700.0:
         return math.inf
     return math.exp(nll)

@@ -74,10 +74,7 @@ def embed_tokens(fmap, tokens) -> np.ndarray:
     tokens = [int(t) for t in tokens]
     if not tokens:
         raise ValueError("cannot embed an empty token sequence")
-    acc = np.zeros(fmap.dimension)
-    for i in range(1, len(tokens) + 1):
-        acc += fmap(tokens[:i])
-    return acc / len(tokens)
+    return fmap.rows([(tokens, 1)]).mean(axis=0)
 
 
 def embed_corpus(model, texts, label: str = "candidate",
@@ -225,7 +222,7 @@ def evaluate(scores_ood, scores_id, bootstrap_n: int = 1000, seed: int = 0,
     i = np.asarray(scores_id, dtype=np.float64)
     point_auroc = auroc(o, i)
     point_aupr = aupr(o, i)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if bootstrap_n > 0:
         idx_o = rng.integers(0, o.size, size=(bootstrap_n, o.size))
         idx_i = rng.integers(0, i.size, size=(bootstrap_n, i.size))

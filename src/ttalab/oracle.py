@@ -153,8 +153,8 @@ def kl_projection_certificate(probs, bias, tau: float, trials: int = 10_000,
 class SequenceSpace:
     """All length-T continuations of one context, with vectorized tables.
 
-    Windows (distinct feature contexts encountered anywhere in the space)
-    are enumerated once; per-parameter score vectors and outcome log-probs
+    Windows (distinct feature rows encountered anywhere in the space) are
+    built once; per-parameter score vectors and outcome log-probs
     at `phi_flat` (None: the adapter state the space was built at) are
     then dense-array operations. Budget-guarded: |V|^T outcomes at most
     `budget`.
@@ -172,24 +172,26 @@ class SequenceSpace:
         self.length = length
         self.vsize = vsize
 
-        # outcomes as an (N, T) token grid
-        grids = np.meshgrid(*[np.arange(vsize)] * length, indexing="ij")
-        self.outcomes = np.stack([g.ravel() for g in grids], axis=1)
+        # outcomes as an (N, T) token grid; the last token varies fastest, so
+        # each distinct length-t prefix leads a run of V^(T - t) outcomes
+        self.outcomes = np.stack([g.ravel() for g in np.meshgrid(
+            *[np.arange(vsize)] * length, indexing="ij")], axis=1)
 
-        # map every (outcome, position) to a window id
-        window_ids: dict[tuple, int] = {}
-        n_out = self.outcomes.shape[0]
-        self.win_idx = np.zeros((n_out, length), dtype=np.int64)
-        order = model.fmap.order
-        for i in range(n_out):
-            hist = self.context + [int(t) for t in self.outcomes[i]]
-            for t in range(length):
-                key = tuple(hist[max(0, len(self.context) + t - order):
-                                 len(self.context) + t])
-                wid = window_ids.setdefault(key, len(window_ids))
-                self.win_idx[i, t] = wid
-        self.windows = [list(k) for k in sorted(window_ids, key=window_ids.get)]
-        self.features = np.stack([model.fmap(w) for w in self.windows])  # (W, d)
+        # one feature row per distinct prefix, shortest first, deduplicated
+        # into windows; win_idx[i, t] is the window of context + outcomes[i, :t]
+        runs = [vsize ** (length - t) for t in range(length)]
+        spans = [(self.context + q, len(self.context) + t)
+                 for t, run in enumerate(runs) for q in self.outcomes[::run, :t].tolist()]
+        self.features, inverse = np.unique(model.fmap.rows(spans), axis=0,
+                                           return_inverse=True)  # (W, d)
+        inverse = inverse.reshape(-1)  # (R,) or (R, 1) depending on the numpy release
+        # column by column, so that no (N, T) temporary is built
+        self.win_idx = np.empty(self.outcomes.shape, dtype=np.int64)
+        lead = 0
+        for t, run in enumerate(runs):
+            count = len(self.outcomes) // run
+            self.win_idx[:, t] = np.repeat(inverse[lead:lead + count], run)
+            lead += count
 
     @property
     def n_outcomes(self) -> int:

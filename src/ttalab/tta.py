@@ -46,10 +46,8 @@ class EpisodeConfig:
     safe_batch: int = 2
     update: UpdateRuleConfig = field(default_factory=UpdateRuleConfig)
     multi_trigger: bool = False
-    marker: str = DEFAULT_MARKER
     temperature: float = 0.9
     top_p: float = 0.9
-    separator: str = DEFAULT_SEPARATOR
     adapt: bool = True
 
     def validate(self) -> None:
@@ -129,12 +127,12 @@ def _split_rng(rng):
     return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
-def aligned_pairs(history_ids, entries, vocab, separator: str):
+def aligned_pairs(history_ids, entries, vocab):
     """(context, target) token pairs: history + separator -> entry.
 
-    The whole history goes in; the likelihood kernel reads only its last
-    `order` tokens."""
-    context = list(history_ids) + vocab.encode(separator)
+    The whole history goes in; the feature map reads only its last `order`
+    tokens."""
+    context = list(history_ids) + vocab.encode(DEFAULT_SEPARATOR)
     pairs = []
     for entry in entries:
         target = vocab.encode(entry.text)
@@ -192,7 +190,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
 
     gen_rng, bank_rng = _split_rng(rng)
     settings = config.settings()
-    marker_ids = model.vocab.encode(config.marker) if config.marker else []
+    marker_ids = model.vocab.encode(DEFAULT_MARKER)
     history = model.vocab.encode(prompt)
     opt_state = AdamWState.zeros(model.param_count) if cfg.kind == "adamw" else None
 
@@ -203,7 +201,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
     triggered_count = 0
 
     for k in range(config.k_segments):
-        if k > 0 and marker_ids:
+        if k > 0:
             history = history + marker_ids
         t0 = time.perf_counter()
         seg_ids = model.sample_segment(history, settings, gen_rng)
@@ -242,7 +240,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
                     flags.append("bank_empty")
                     episode_flags.append("bank_empty")
                     continue
-                pairs = aligned_pairs(history, entries, model.vocab, config.separator)
+                pairs = aligned_pairs(history, entries, model.vocab)
                 rounds.append(_update_round(model, pairs, cfg, phi0, pre_diag,
                                             opt_state, rtype,
                                             [e.text for e in entries]))

@@ -70,8 +70,9 @@ class ZeroFeatureMap:
     def active_indices(self, history):
         return []
 
-    def __call__(self, history):
-        return np.zeros(self.dimension)
+    def rows(self, spans):
+        return np.zeros((sum(len(tokens) - start + 1 for tokens, start in spans),
+                         self.dimension))
 
 
 class FixedScorer:

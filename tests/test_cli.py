@@ -331,14 +331,16 @@ def test_set_overrides_change_digest(ws, runs, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["modell", "episode.max_len_update",
-                                 "update.precond_max"])
+                                 "update.precond_max", "episode.marker",
+                                 "episode.separator"])
 def test_unknown_config_key(ws, tmp_path, key):
     bad = _run_config(str(tmp_path / "o"))
     overrides = []
     if key == "modell":
         bad["modell"] = bad.pop("model")
     else:
-        overrides = ["--set", f"{key}=4"]
+        # a string value, so that a string-typed key could not fail on its type
+        overrides = ["--set", f'{key}="Go on"']
     _write_json(ws / "bad_key.json", bad)
     assert cli.main(["run", "--config", str(ws / "bad_key.json"), *overrides]) == 2
 

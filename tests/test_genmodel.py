@@ -56,14 +56,37 @@ def test_feature_map_blocks():
     assert f.active_indices([]) == []
     assert f.active_indices([2]) == [2]          # last token, block 0
     assert f.active_indices([1, 3]) == [3, 4 + 1]  # last then second-last
-    vec = f([1, 3])
+    vec = f.rows([([1, 3], 2)])[0]
     assert vec.sum() == 2.0 and vec[3] == 1.0 and vec[5] == 1.0
 
 
 def test_feature_map_same_history_same_vector():
     f = NgramOneHot(6, order=2)
     h = [5, 1, 4]
-    assert np.array_equal(f(h), f(list(h)))
+    assert np.array_equal(f.rows([(h, 3)]), f.rows([(list(h), 3)]))
+
+
+@st.composite
+def row_spans(draw):
+    order = draw(st.integers(1, 3))
+    vocab_size = draw(st.integers(1, 5))
+    tokens = st.lists(st.integers(0, vocab_size - 1), max_size=6)
+    spans = [(t, draw(st.integers(0, len(t)))) for t in draw(st.lists(tokens, max_size=4))]
+    return order, vocab_size, spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_spans())
+def test_rows_stack_prefix_active_indices(case):
+    order, vocab_size, spans = case
+    f = NgramOneHot(vocab_size, order=order)
+    want = []
+    for tokens, start in spans:
+        for i in range(start, len(tokens) + 1):
+            row = np.zeros(f.dimension)
+            row[f.active_indices(tokens[:i])] = 1.0
+            want.append(row)
+    assert np.array_equal(f.rows(spans), np.array(want).reshape(-1, f.dimension))
 
 
 # -- logits and log-probs ------------------------------------------------------
@@ -74,14 +97,14 @@ def test_zero_adapter_logits_match_base_table():
     m.adapter.b[:] = 0.0
     m._wc = None
     h = [1, 2]
-    expected = m.w_base @ m.fmap(h)
+    expected = m.w_base @ m.fmap.rows([(h, 2)])[0]
     np.testing.assert_allclose(m.logits(h), expected, atol=1e-12)
 
 
 def test_adapter_shifts_logits_by_low_rank_term():
     m = small_model(seed=3)
     h = [0, 4]
-    f = m.fmap(h)
+    f = m.fmap.rows([(h, 2)])[0]
     expected = (m.w_base + m.adapter.scale * (m.adapter.b @ m.adapter.a)) @ f
     np.testing.assert_allclose(m.logits(h), expected, atol=1e-12)
 

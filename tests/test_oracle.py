@@ -160,6 +160,25 @@ def test_space_scores_match_adapter_gradient():
             np.testing.assert_allclose(scores[i], -grad_nll, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_space_windows_are_prefix_features(order):
+    # pins the outcome-grid order that the prefix deduplication relies on
+    rng = np.random.default_rng(order)
+    vocab = Vocabulary(["w0", "w1"])  # size 3 with <unk>
+    fmap = NgramOneHot(len(vocab), order=order)
+    adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=1, alpha=1.0)
+    model = ToyLM(vocab, np.zeros((len(vocab), fmap.dimension)), adapter, fmap)
+    for context in ([], [2], [0, 1], [1, 2, 0]):
+        for length in (1, 2, 3):
+            space = SequenceSpace(model, context, length)
+            assert len(np.unique(space.features, axis=0)) == len(space.features)
+            for i, outcome in enumerate(space.outcomes.tolist()):
+                for t in range(length):
+                    want = np.zeros(fmap.dimension)
+                    want[fmap.active_indices(context + outcome[:t])] = 1.0
+                    assert np.array_equal(space.features[space.win_idx[i, t]], want)
+
+
 def test_space_without_phi_means_the_start_state():
     model = tiny_model(seed=6)
     ctx = model.vocab.encode("w0")

@@ -17,7 +17,8 @@ READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))
 # Kept without an in-repo reader, with the reason.
 EXEMPT = {
     # the hook for the paper's external classifiers: a library-only API
-    # that the CLI never constructs (ROADMAP item 6)
+    # that the CLI never constructs (ROADMAP north star, robustness: a slow
+    # external scorer must not poison every later call)
     "scoring.PluginScorer",
 }
 

@@ -217,8 +217,7 @@ def test_update_round_matches_per_step_reference(kind):
     model = biased_model()
     pre_diag = fitted_preconditioner(model).diag
     entries = safe_bank().entries["race"][:2]
-    pairs = aligned_pairs(model.vocab.encode("blorix bad awful"), entries,
-                          model.vocab, separator="<sep>")
+    pairs = aligned_pairs(model.vocab.encode("blorix bad awful"), entries, model.vocab)
     # the default clip_coef of 1.0 clips every step here (raw norms 1.5-3.7),
     # and the preconditioned steps also hit the 0.25 cap
     cfg = UpdateRuleConfig(kind=kind, steps=6)
@@ -341,7 +340,7 @@ def test_aligned_pairs_matches_string_alignment():
     model = biased_model()
     history = model.vocab.encode("calm tree river walk sun tree calm")
     entry = SafeEntry(text="river calm sun", type="race", score=0.0)
-    pairs = aligned_pairs(history, [entry], model.vocab, separator="<sep>")
+    pairs = aligned_pairs(history, [entry], model.vocab)
     ctx, tgt = pairs[0]
     joined = model.vocab.decode(ctx) + " " + model.vocab.decode(tgt)
     want = context_align("calm tree river walk sun tree calm", entry.text)
