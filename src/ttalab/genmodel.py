@@ -53,6 +53,14 @@ class Vocabulary:
         return " ".join(words)
 
 
+def check_ids(tokens, vocab_size: int) -> None:
+    """Refuse ids outside 0..vocab_size-1, which would index another feature
+    block or wrap to the last column instead of failing."""
+    if len(tokens) and not (0 <= min(tokens) and max(tokens) < vocab_size):
+        raise ValueError(f"token ids {min(tokens)}..{max(tokens)} outside "
+                         f"vocabulary of size {vocab_size}")
+
+
 class NgramOneHot:
     """Concatenated one-hot features of the last `order` history tokens.
 
@@ -78,16 +86,21 @@ class NgramOneHot:
         n = len(history)
         for j in range(1, self.order + 1):
             if n >= j:
-                idx.append((j - 1) * self.vocab_size + int(history[n - j]))
+                t = int(history[n - j])
+                if not 0 <= t < self.vocab_size:  # inline: this runs once per sampled token
+                    raise ValueError(f"token id {t} outside vocabulary of size {self.vocab_size}")
+                idx.append((j - 1) * self.vocab_size + t)
         return idx
 
     def rows(self, spans) -> np.ndarray:
         """Feature rows of the prefixes tokens[:i], i = start .. len(tokens), of
         each (tokens, start) span, stacked in order. Only the last `order`
-        tokens before `start` are read, so a span may carry a whole history."""
+        tokens before `start` are read (and checked against the vocabulary),
+        so a span may carry a whole history."""
         rows, cols, n_rows = [], [], 0
         for tokens, start in spans:
             n = len(tokens)
+            check_ids(tokens[max(0, start - self.order):], self.vocab_size)
             for j in range(1, self.order + 1):
                 # prefix tokens[:i] is row n_rows + i - start; block j holds tokens[i - j]
                 first, off = max(start, j), (j - 1) * self.vocab_size
@@ -281,7 +294,9 @@ class ToyLM:
             raise ValueError("target sequence must be non-empty")
         feats = self.fmap.rows([([*history, *target[:-1]], len(history))
                                 for history, target in batch])
-        targets = np.array([y for _, target in batch for y in target], dtype=np.intp)
+        targets = [y for _, target in batch for y in target]
+        check_ids(targets, len(self.vocab))
+        targets = np.array(targets, dtype=np.intp)
         logp, probs = self.softmax_rows(feats)
         return feats, targets, logp[np.arange(len(targets)), targets], probs
 

@@ -333,16 +333,18 @@ def test_set_overrides_change_digest(ws, runs, tmp_path):
 @pytest.mark.parametrize("key", ["modell", "episode.max_len_update",
                                  "update.precond_max", "episode.marker",
                                  "episode.separator"])
-def test_unknown_config_key(ws, tmp_path, key):
+def test_unknown_config_key(ws, tmp_path, capsys, key):
     bad = _run_config(str(tmp_path / "o"))
     overrides = []
     if key == "modell":
         bad["modell"] = bad.pop("model")
     else:
-        # a string value, so that a string-typed key could not fail on its type
-        overrides = ["--set", f'{key}="Go on"']
+        # a value of the type the key had, so that only its absence can fail
+        value = '"Go on"' if key in ("episode.marker", "episode.separator") else "4"
+        overrides = ["--set", f"{key}={value}"]
     _write_json(ws / "bad_key.json", bad)
     assert cli.main(["run", "--config", str(ws / "bad_key.json"), *overrides]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_cli_defaults_are_library_defaults(tmp_path):

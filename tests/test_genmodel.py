@@ -89,6 +89,21 @@ def test_rows_stack_prefix_active_indices(case):
     assert np.array_equal(f.rows(spans), np.array(want).reshape(-1, f.dimension))
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_out_of_vocabulary_ids_rejected(bad):
+    # an id >= V would land in the next feature block and a negative one wrap
+    # to the last column, so every reader of token ids refuses both
+    m = small_model()  # V = 5, order 2
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        m.fmap.rows([([1, bad], 2)])
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        m.sequence_log_prob([3], history=[bad, 1])
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        m.sequence_log_prob([1, bad])
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        m.logits([bad, 1])
+
+
 # -- logits and log-probs ------------------------------------------------------
 
 
