@@ -45,20 +45,14 @@ class Vocabulary:
         return [self.index.get(w, self.oov_id) for w in text.casefold().split()]
 
     def decode(self, ids) -> str:
-        words = []
-        for i in ids:
-            if not 0 <= int(i) < len(self.tokens):
-                raise ValueError(f"token id {i} outside vocabulary of size {len(self)}")
-            words.append(self.tokens[int(i)])
-        return " ".join(words)
+        check_ids(ids, len(self))
+        return " ".join(self.tokens[int(i)] for i in ids)
 
 
 def check_ids(tokens, vocab_size: int) -> None:
-    """Refuse ids outside 0..vocab_size-1, which would index another feature
-    block or wrap to the last column instead of failing."""
-    if len(tokens) and not (0 <= min(tokens) and max(tokens) < vocab_size):
-        raise ValueError(f"token ids {min(tokens)}..{max(tokens)} outside "
-                         f"vocabulary of size {vocab_size}")
+    """Refuse ids outside 0..vocab_size-1: one would index another block or wrap."""
+    if len(tokens) and not 0 <= min(tokens) <= max(tokens) < vocab_size:
+        raise ValueError(f"token ids {min(tokens)}..{max(tokens)} outside 0..{vocab_size - 1}")
 
 
 class NgramOneHot:
@@ -84,19 +78,17 @@ class NgramOneHot:
     def active_indices(self, history) -> list[int]:
         idx = []
         n = len(history)
-        for j in range(1, self.order + 1):
-            if n >= j:
-                t = int(history[n - j])
-                if not 0 <= t < self.vocab_size:  # inline: this runs once per sampled token
-                    raise ValueError(f"token id {t} outside vocabulary of size {self.vocab_size}")
-                idx.append((j - 1) * self.vocab_size + t)
+        for j in range(1, min(n, self.order) + 1):
+            t = int(history[n - j])
+            if not 0 <= t < self.vocab_size:  # inline: this runs once per sampled token
+                raise ValueError(f"token id {t} outside 0..{self.vocab_size - 1}")
+            idx.append((j - 1) * self.vocab_size + t)
         return idx
 
     def rows(self, spans) -> np.ndarray:
         """Feature rows of the prefixes tokens[:i], i = start .. len(tokens), of
-        each (tokens, start) span, stacked in order. Only the last `order`
-        tokens before `start` are read (and checked against the vocabulary),
-        so a span may carry a whole history."""
+        each (tokens, start) span, stacked in order. Only the last `order` tokens
+        before `start` are read and checked, so a span may carry a whole history."""
         rows, cols, n_rows = [], [], 0
         for tokens, start in spans:
             n = len(tokens)

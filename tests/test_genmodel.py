@@ -94,13 +94,13 @@ def test_out_of_vocabulary_ids_rejected(bad):
     # an id >= V would land in the next feature block and a negative one wrap
     # to the last column, so every reader of token ids refuses both
     m = small_model()  # V = 5, order 2
-    with pytest.raises(ValueError, match="outside vocabulary"):
+    with pytest.raises(ValueError, match="outside 0..4"):
         m.fmap.rows([([1, bad], 2)])
-    with pytest.raises(ValueError, match="outside vocabulary"):
+    with pytest.raises(ValueError, match="outside 0..4"):
         m.sequence_log_prob([3], history=[bad, 1])
-    with pytest.raises(ValueError, match="outside vocabulary"):
+    with pytest.raises(ValueError, match="outside 0..4"):
         m.sequence_log_prob([1, bad])
-    with pytest.raises(ValueError, match="outside vocabulary"):
+    with pytest.raises(ValueError, match="outside 0..4"):
         m.logits([bad, 1])
 
 
