@@ -5,7 +5,10 @@ hyperparameter is a named key) plus repeatable --set dotted overrides. A
 (config digest, master seed) pair determines every output byte except the
 wall-clock fields: `timing` in each records.jsonl record and metrics.json
 row, `update_time_mean`/`test_time_mean` in summary.tsv, and
-`wall_clock_seconds` in manifest.json.
+`wall_clock_seconds` in manifest.json. That holds on any core count for one
+OpenBLAS build, which runs on one thread (see `_blas`) and is named in the
+manifest's `blas` entry. `run` prints one progress line per finished
+episode on stderr.
 
 Exit codes: 0 ok, 2 configuration error or an input artifact that cannot
 be read, 3 artifact digest error, 4 episode failure fraction exceeded.
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, ood as oodmod
+from . import __version__, _blas, metrics, ood as oodmod
 from .artifacts import (canonical_json, check_header, file_digest, read_json, read_lines,
                         write_json, write_text)
 from .genmodel import ToyLM
@@ -273,6 +276,7 @@ def cmd_precompute(args) -> int:
     else:
         pre.save(out)
         print(f"wrote {out}")
+    print(_blas.STATUS)
     print(f"damping={cfg['damping']:g} n_steps={cfg['n_steps']} "
           f"batch_size={cfg['batch_size']} samples={estimate.sample_count}")
     return EXIT_OK
@@ -350,6 +354,13 @@ def _run_one(item):
         return idx, None, f"{type(exc).__name__}: {exc}"
 
 
+def _progress(results: list, total: int) -> None:
+    """One stderr line for the episode that just joined `results`."""
+    idx, _, err = results[-1]
+    print(f"[{len(results)}/{total}] prompt-{idx:04d}" + (" failed" if err else ""),
+          file=sys.stderr, flush=True)
+
+
 def _run_pool(items, jobs: int) -> list:
     """`_run_one` over `items` in `jobs` forked workers, in item order; each
     episode a dead worker leaves unfinished is a failure, not a hang."""
@@ -370,6 +381,7 @@ def _run_pool(items, jobs: int) -> list:
                 results.append(fut.result())
             except BrokenProcessPool as exc:
                 results.append((idx, None, f"{type(exc).__name__}: {exc}"))
+            _progress(results, len(items))
     results += [(idx, None, "BrokenProcessPool: a worker died before this episode "
                             "was queued") for idx, _ in items[len(futures):]]
     return results
@@ -418,7 +430,10 @@ def cmd_run(args) -> int:
         if args.jobs and args.jobs > 1:
             results = _run_pool(items, args.jobs)
         else:
-            results = [_run_one(item) for item in items]
+            results = []
+            for item in items:
+                results.append(_run_one(item))
+                _progress(results, len(items))
     finally:
         _INPUTS.clear()
 
@@ -468,6 +483,7 @@ def cmd_run(args) -> int:
         "config_digest": digest,
         "master_seed": cfg["master_seed"],
         "artifacts": artifacts,
+        "blas": {"library": _blas.STATUS.library, "threads": _blas.STATUS.threads},
         "n_prompts": len(prompts),
         "n_episodes": len(records),
         "failures": failures,

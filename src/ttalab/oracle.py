@@ -219,7 +219,12 @@ class SequenceSpace:
         resid = np.eye(self.vsize)[None, :, :] - probs[:, None, :]   # (W, V, V)
         gw = resid[..., None] * self.features[:, None, None, :]       # (W, V, V, d)
         table = model.adapter.flat_gradient(gw)                       # (W, V, n)
-        return table[self.win_idx, self.outcomes].sum(axis=1)
+        # position by position, in the order .sum(axis=1) adds (so bit for
+        # bit equal to it), without the (N, T, n) gather
+        scores = table[self.win_idx[:, 0], self.outcomes[:, 0]]
+        for t in range(1, self.length):
+            scores += table[self.win_idx[:, t], self.outcomes[:, t]]
+        return scores
 
     def grad_J(self, weights, phi_flat=None) -> np.ndarray:
         """Exact gradient of J(phi) = E_{y~weights}[-log p_phi(y | context)]."""

@@ -1,11 +1,14 @@
 """Shared test plumbing, including the independent oracles that the
 package's vectorised code is checked against."""
 
+import ctypes
 import itertools
 import math
+import os
 
 import numpy as np
 
+from ttalab import _blas
 from ttalab.genmodel import softmax
 from ttalab.optim import (
     AdamWState,
@@ -191,3 +194,19 @@ def reference_update_round(model, pairs, cfg, phi0, pre_diag):
         grad_norms.append(float(np.linalg.norm(g)))
         delta_norms.append(float(np.linalg.norm(delta)))
     return losses, grad_norms, delta_norms
+
+
+def blas_threads() -> int:
+    """numpy's BLAS thread count, read now through the library's own getter
+    rather than from the status `ttalab._blas` recorded at import."""
+    for path in _blas._candidates():
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for _, getter_name in _blas.SYMBOLS:
+            if hasattr(lib, getter_name):
+                getter = getattr(lib, getter_name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    raise AssertionError("no OpenBLAS thread getter found")

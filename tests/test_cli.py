@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttalab import cli, toydata
+from ttalab import _blas, cli, toydata
 from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
 from ttalab.precond import Preconditioner
 from ttalab.safebank import SafeBank
 from ttalab.tta import EpisodeConfig, load_episodes
+
+from helpers import blas_threads
 
 
 def _write_json(path, doc):
@@ -317,6 +319,17 @@ def test_run_label_override(ws, tmp_path):
     assert "custom" in (tmp_path / "lab" / "summary.tsv").read_text()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_prints_one_progress_line_per_episode(ws, tmp_path, capsys, jobs):
+    out = tmp_path / "progress"
+    code = cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", f"output_dir={out}", "--jobs", jobs])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"[{i + 1}/8] prompt-{i:04d}" for i in range(8)]
+    assert captured.out == f"precond: 8 episodes, 0 failures -> {out}\n"
+
+
 def test_set_overrides_change_digest(ws, runs, tmp_path):
     code = cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'eps'}",
@@ -325,6 +338,109 @@ def test_set_overrides_change_digest(ws, runs, tmp_path):
     man = json.loads((tmp_path / "eps" / "manifest.json").read_text())
     base = json.loads((runs["precond"] / "manifest.json").read_text())
     assert man["config_digest"] != base["config_digest"]
+
+
+# -- one BLAS thread -----------------------------------------------------------
+
+
+def test_import_pins_blas_to_one_thread():
+    assert _blas.STATUS.threads == 1 and _blas.STATUS.library
+    assert blas_threads() == 1
+
+
+PROBED_WORKER = textwrap.dedent("""
+    import os, sys
+    from ttalab import cli
+    from helpers import blas_threads
+
+    run_one = cli._run_one
+
+    def probed_run_one(item):
+        # one write call, so two workers' lines cannot interleave
+        os.write(1, f"worker {os.getpid()} threads {blas_threads()}\\n".encode())
+        return run_one(item)
+
+    cli._run_one = probed_run_one
+    print(f"parent {os.getpid()}", flush=True)
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_forked_workers_run_on_one_blas_thread(ws, tmp_path):
+    env = _fresh_interpreter_env(OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
+    out = subprocess.run(
+        [sys.executable, "-c", PROBED_WORKER, "run", "--config", str(ws / "run.json"),
+         "--set", f"output_dir={tmp_path / 'jobs2'}", "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = [ln.split() for ln in out.stdout.splitlines()]
+    parent = next(int(w[1]) for w in lines if w[0] == "parent")
+    workers = [(int(w[1]), int(w[3])) for w in lines if w[0] == "worker"]
+    assert len(workers) == 8
+    assert all(pid != parent and threads == 1 for pid, threads in workers)
+
+
+def _untimed_outputs(out_dir):
+    _, records = _read_records(out_dir / "records.jsonl")
+    doc = json.loads((out_dir / "metrics.json").read_text())
+    for row in doc["rows"]:
+        row.pop("timing")
+    return _strip_timing(records), doc
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() < 2,
+                    reason="OpenBLAS caps its thread count at the core count, so one "
+                           "core cannot show a thread-count dependence")
+def test_run_outputs_do_not_depend_on_blas_threads(ws, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttalab.cli", "run", "--config", str(ws / "run.json"),
+             "--set", f"output_dir={tmp_path / 'same'}", "--jobs", "1"],
+            env=_fresh_interpreter_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        (tmp_path / "same").rename(out)
+        outputs.append(_untimed_outputs(out))
+    assert outputs[0] == outputs[1]
+
+
+NO_THREAD_SETTER = textwrap.dedent("""
+    import ctypes, sys
+
+    lookup = ctypes.CDLL.__getattr__
+
+    def no_thread_symbols(lib, name):
+        if "num_threads" in name:
+            raise AttributeError(name)
+        return lookup(lib, name)
+
+    ctypes.CDLL.__getattr__ = no_thread_symbols
+    from ttalab import cli
+    sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_missing_blas_setter_warns_and_records_null(ws, tmp_path):
+    out = tmp_path / "unpinned"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_THREAD_SETTER, "run", "--config", str(ws / "run.json"),
+         "--set", f"output_dir={out}"],
+        env=_fresh_interpreter_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warnings = [ln for ln in proc.stderr.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == 1 and "BLAS" in warnings[0]
+    blas = json.loads((out / "manifest.json").read_text())["blas"]
+    assert blas["library"] == _blas.STATUS.library and blas["threads"] is None
+
+
+def test_precompute_prints_blas_status(ws, tmp_path, capsys):
+    assert cli.main(["precompute", "--config", str(ws / "precompute.json"),
+                     "--set", f"output={tmp_path / 'pre.json'}"]) == 0
+    assert f"blas={_blas.STATUS.library} threads=1" in capsys.readouterr().out.splitlines()
 
 
 # -- exit code 2: configuration errors -----------------------------------------
@@ -420,9 +536,9 @@ def test_config_file_not_found(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def _fresh_interpreter_env():
+def _fresh_interpreter_env(**overrides):
     """Environment for a child interpreter that imports this checkout's ttalab."""
-    env = dict(os.environ)
+    env = dict(os.environ, **overrides)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env

@@ -160,6 +160,19 @@ def test_space_scores_match_adapter_gradient():
             np.testing.assert_allclose(scores[i], -grad_nll, atol=1e-12)
 
 
+@pytest.mark.parametrize("vocab_size, length", [(3, 1), (4, 3), (5, 2)])
+def test_space_scores_equal_the_gathered_sum(vocab_size, length):
+    # the (N, T, n) gather that score_matrix accumulates position by position
+    model = tiny_model(seed=vocab_size, vocab_size=vocab_size)
+    space = SequenceSpace(model, model.vocab.encode("w0"), length)
+    probs = space.model.softmax_rows(space.features)[1]
+    resid = np.eye(space.vsize)[None, :, :] - probs[:, None, :]
+    table = space.model.adapter.flat_gradient(resid[..., None]
+                                              * space.features[:, None, None, :])
+    want = table[space.win_idx, space.outcomes].sum(axis=1)
+    assert np.array_equal(space.score_matrix(), want)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_space_windows_are_prefix_features(order):
     # pins the outcome-grid order that the prefix deduplication relies on
