@@ -279,6 +279,9 @@ def cmd_precompute(args) -> int:
     print(_blas.STATUS)
     print(f"damping={cfg['damping']:g} n_steps={cfg['n_steps']} "
           f"batch_size={cfg['batch_size']} samples={estimate.sample_count}")
+    for name, block in zip("AB", model.adapter.split_flat(estimate.diag)):
+        print(f"fisher {name}: entries={block.size} zeros={int((block == 0.0).sum())} "
+              f"below_damping={(block < cfg['damping']).mean():.4f}")
     return EXIT_OK
 
 

@@ -137,13 +137,18 @@ class AdapterParams:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.a.ravel(), self.b.ravel()])
 
-    def set_flat(self, vec: np.ndarray) -> None:
+    def split_flat(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The A and B blocks of a flat vector in this layout, as shaped views."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.size,):
             raise ValueError(f"expected flat vector of length {self.size}, got {vec.shape}")
         na = self.a.size
-        self.a = vec[:na].reshape(self.a.shape).copy()
-        self.b = vec[na:].reshape(self.b.shape).copy()
+        return vec[:na].reshape(self.a.shape), vec[na:].reshape(self.b.shape)
+
+    def set_flat(self, vec: np.ndarray) -> None:
+        a, b = self.split_flat(vec)
+        self.a = a.copy()
+        self.b = b.copy()
 
     def copy(self) -> "AdapterParams":
         return AdapterParams(self.a.copy(), self.b.copy(), self.alpha)
@@ -189,14 +194,31 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+# Generator.choice's tolerance on the sum of a float64 distribution
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 def nucleus_pick(probs: np.ndarray, top_p: float, rng: np.random.Generator) -> int:
-    """Sample from the smallest descending-probability prefix with mass >= top_p."""
-    order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    cut = min(int(np.searchsorted(csum, top_p, side="left")) + 1, len(order))
-    keep = order[:cut]
-    p = probs[keep]
-    return int(rng.choice(keep, p=p / p.sum()))
+    """Sample from the smallest descending-probability prefix with mass >= top_p.
+
+    `probs` is float64. The draw is `rng.choice(keep, p=p / p.sum())` written
+    out with the same float operations (normalise, cumsum, divide by the last
+    entry, one uniform, searchsorted right), so it returns the same token,
+    consumes the same single uniform and raises ValueError where choice does:
+    NaN, zero or infinite mass, or a negative normalised entry.
+    """
+    order = (-probs).argsort(kind="stable")
+    ranked = probs[order]
+    cut = min(int(ranked.cumsum().searchsorted(top_p, side="left")) + 1, len(order))
+    p = ranked[:cut]
+    q = p / p.sum()
+    cdf = q.cumsum()
+    # p is sorted, so q is monotone and its smallest entry is at an end; NaN
+    # or inf anywhere makes cdf[-1] fail the sum test
+    if not (cut and min(q[0], q[-1]) >= 0 and abs(cdf[-1] - 1.0) <= _CHOICE_ATOL):
+        raise ValueError("nucleus probabilities are not a distribution")
+    cdf /= cdf[-1]
+    return int(order[cdf.searchsorted(rng.random(), side="right")])
 
 
 class ToyLM:
@@ -253,9 +275,6 @@ class ToyLM:
 
     # -- scoring and sampling ----------------------------------------------
 
-    def logits(self, history) -> np.ndarray:
-        return self.combined_weight()[:, self.fmap.active_indices(history)].sum(axis=1)
-
     def sequence_log_prob(self, target, history=()) -> float:
         """Sum of log P(target[t] | history + target[:t])."""
         return float(self._teacher_forced([(history, target)])[2].sum())
@@ -263,10 +282,14 @@ class ToyLM:
     def sample_segment(self, history, settings: GenerationSettings,
                        rng: np.random.Generator) -> list[int]:
         settings.validate()
+        # feature-major copy: a token's logits are the sum of the rows of its
+        # active features; the weights cannot change inside this call
+        wt = self.combined_weight().T.copy()
+        active = self.fmap.active_indices
         ctx = list(history)
         out = []
         for _ in range(settings.tokens_per_segment):
-            probs = softmax(self.logits(ctx) / settings.temperature)
+            probs = softmax(wt[active(ctx)].sum(axis=0) / settings.temperature)
             y = nucleus_pick(probs, settings.top_p, rng)
             out.append(y)
             ctx.append(y)

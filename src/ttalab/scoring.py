@@ -39,11 +39,6 @@ def normalize_words(text: str) -> list[str]:
     return _PUNCT.sub(" ", text.casefold()).split()
 
 
-def _phrase_in(words: list[str], phrase: tuple[str, ...]) -> bool:
-    n = len(phrase)
-    return any(tuple(words[i:i + n]) == phrase for i in range(len(words) - n + 1))
-
-
 class LexiconScorer:
     """Term-weight lexicon with a noisy-or squash.
 
@@ -64,8 +59,12 @@ class LexiconScorer:
             self.terms[key] = w
 
     def matched_terms(self, text: str) -> list[tuple[str, ...]]:
+        """The terms found in the text, in lexicon order: one set of the
+        text's n-grams per term length, then one membership test per term."""
         words = normalize_words(text)
-        return [t for t in self.terms if _phrase_in(words, t)]
+        grams = {n: set(zip(*(words[i:] for i in range(n))))
+                 for n in {len(t) for t in self.terms}}
+        return [t for t in self.terms if t in grams[len(t)]]
 
     def score(self, text: str) -> float:
         miss = 1.0

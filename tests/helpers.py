@@ -19,6 +19,7 @@ from ttalab.optim import (
     sgd_step,
 )
 from ttalab.safebank import DEFAULT_SEPARATOR
+from ttalab.scoring import normalize_words
 
 
 class BernoulliModel:
@@ -100,6 +101,14 @@ def log_softmax(z):
     return z - math.log(np.exp(z).sum())
 
 
+def reference_logits(model, history):
+    """Next-token logits, one column gather of the combined weight per token
+    (BernoulliModel brings its own)."""
+    if isinstance(model, BernoulliModel):
+        return model.logits(history)
+    return model.combined_weight()[:, model.fmap.active_indices(history)].sum(axis=1)
+
+
 def reference_sequence_log_prob(model, target, history=()):
     """Sum of log P(target[t] | history + target[:t]), one token at a time."""
     target = [int(t) for t in target]
@@ -108,7 +117,7 @@ def reference_sequence_log_prob(model, target, history=()):
     ctx = list(history)
     total = 0.0
     for y in target:
-        total += float(log_softmax(model.logits(ctx))[y])
+        total += float(log_softmax(reference_logits(model, ctx))[y])
         ctx.append(y)
     return total
 
@@ -146,6 +155,30 @@ def reference_adapter_gradient(model, batch):
     return nll / m, np.concatenate([ga.ravel(), gb.ravel()]) / m
 
 
+def reference_nucleus_pick(probs, top_p, rng):
+    """The nucleus draw through Generator.choice: the smallest descending
+    prefix with mass >= top_p, renormalised."""
+    order = np.argsort(-probs, kind="stable")
+    csum = np.cumsum(probs[order])
+    cut = min(int(np.searchsorted(csum, top_p, side="left")) + 1, len(order))
+    keep = order[:cut]
+    p = probs[keep]
+    return int(rng.choice(keep, p=p / p.sum()))
+
+
+def reference_sample_segment(model, history, settings, rng):
+    """ToyLM.sample_segment with one column gather of the combined weight
+    and one Generator.choice draw per token."""
+    ctx = list(history)
+    out = []
+    for _ in range(settings.tokens_per_segment):
+        probs = softmax(reference_logits(model, ctx) / settings.temperature)
+        y = reference_nucleus_pick(probs, settings.top_p, rng)
+        out.append(y)
+        ctx.append(y)
+    return out
+
+
 def brute_force_fisher(model, context, length):
     """Exact full Fisher (covariance of the score) of length-`length`
     continuations of `context`, by itertools.product over every outcome."""
@@ -157,6 +190,17 @@ def brute_force_fisher(model, context, length):
     p, s = np.array(probs), np.array(scores)
     centered = s - p @ s
     return (centered * p[:, None]).T @ centered
+
+
+def reference_matched_terms(scorer, text):
+    """LexiconScorer.matched_terms by scanning every position for every term."""
+    words = normalize_words(text)
+
+    def phrase_in(phrase):
+        n = len(phrase)
+        return any(tuple(words[i:i + n]) == phrase for i in range(len(words) - n + 1))
+
+    return [t for t in scorer.terms if phrase_in(t)]
 
 
 def context_align(history, entry_text, max_len_update=256, separator=DEFAULT_SEPARATOR):

@@ -443,6 +443,23 @@ def test_precompute_prints_blas_status(ws, tmp_path, capsys):
     assert f"blas={_blas.STATUS.library} threads=1" in capsys.readouterr().out.splitlines()
 
 
+def test_precompute_prints_fisher_structure(ws, tmp_path, capsys):
+    out = tmp_path / "pre.json"
+    assert cli.main(["precompute", "--config", str(ws / "precompute.json"),
+                     "--set", f"output={out}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert out.read_bytes() == (ws / "precond.json").read_bytes()  # print only
+    fisher = ToyLM.load(ws / "scenario" / "model.json").adapter.split_flat(
+        Preconditioner.load(out).fisher_diag)
+    for name, block in zip("AB", fisher):
+        want = (f"fisher {name}: entries={block.size} zeros={int((block == 0.0).sum())} "
+                f"below_damping={(block < 1e-4).mean():.4f}")
+        assert want in lines
+    # the scenario starts at B = 0, so every A entry of the estimate is exactly 0
+    assert f"fisher A: entries={fisher[0].size} zeros={fisher[0].size} " \
+        "below_damping=1.0000" in lines
+
+
 # -- exit code 2: configuration errors -----------------------------------------
 
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ZeroFeatureMap, reference_adapter_gradient, reference_sequence_log_prob
+from helpers import (
+    ZeroFeatureMap,
+    reference_adapter_gradient,
+    reference_logits,
+    reference_nucleus_pick,
+    reference_sample_segment,
+    reference_sequence_log_prob,
+)
 from ttalab.genmodel import (
     AdapterParams,
     GenerationSettings,
@@ -14,6 +21,7 @@ from ttalab.genmodel import (
     ToyLM,
     Vocabulary,
     init_adapter,
+    nucleus_pick,
     softmax,
 )
 
@@ -101,7 +109,8 @@ def test_out_of_vocabulary_ids_rejected(bad):
     with pytest.raises(ValueError, match="outside 0..4"):
         m.sequence_log_prob([1, bad])
     with pytest.raises(ValueError, match="outside 0..4"):
-        m.logits([bad, 1])
+        m.sample_segment([bad, 1], GenerationSettings(tokens_per_segment=1),
+                         np.random.default_rng(0))
 
 
 # -- logits and log-probs ------------------------------------------------------
@@ -113,7 +122,7 @@ def test_zero_adapter_logits_match_base_table():
     m._wc = None
     h = [1, 2]
     expected = m.w_base @ m.fmap.rows([(h, 2)])[0]
-    np.testing.assert_allclose(m.logits(h), expected, atol=1e-12)
+    np.testing.assert_allclose(reference_logits(m, h), expected, atol=1e-12)
 
 
 def test_adapter_shifts_logits_by_low_rank_term():
@@ -121,7 +130,7 @@ def test_adapter_shifts_logits_by_low_rank_term():
     h = [0, 4]
     f = m.fmap.rows([(h, 2)])[0]
     expected = (m.w_base + m.adapter.scale * (m.adapter.b @ m.adapter.a)) @ f
-    np.testing.assert_allclose(m.logits(h), expected, atol=1e-12)
+    np.testing.assert_allclose(reference_logits(m, h), expected, atol=1e-12)
 
 
 def test_uniform_when_weights_zero():
@@ -129,7 +138,7 @@ def test_uniform_when_weights_zero():
     fmap = NgramOneHot(len(v))
     adapter = AdapterParams(np.zeros((2, fmap.dimension)), np.zeros((len(v), 2)), alpha=2.0)
     m = ToyLM(v, np.zeros((len(v), fmap.dimension)), adapter, fmap)
-    np.testing.assert_allclose(softmax(m.logits([1])), 0.25 * np.ones(4), atol=1e-12)
+    np.testing.assert_allclose(softmax(reference_logits(m, [1])), 0.25 * np.ones(4), atol=1e-12)
     assert m.sequence_log_prob([0, 3, 2]) == pytest.approx(3 * math.log(0.25), abs=1e-12)
 
 
@@ -169,7 +178,7 @@ def test_tiny_temperature_is_greedy():
     seg = m.sample_segment([2], s, np.random.default_rng(0))
     ctx = [2]
     for y in seg:
-        assert y == int(np.argmax(m.logits(ctx)))
+        assert y == int(np.argmax(reference_logits(m, ctx)))
         ctx.append(y)
 
 
@@ -187,6 +196,86 @@ def test_top_p_keeps_smallest_prefix():
     s2 = GenerationSettings(temperature=1.0, top_p=0.85, tokens_per_segment=1)
     draws2 = {m.sample_segment([0], s2, np.random.default_rng(i))[0] for i in range(300)}
     assert draws2 == {0, 1}
+
+
+@st.composite
+def nucleus_cases(draw):
+    """A float64 distribution with ties and exact zeros, a top_p and a seed."""
+    weights = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0]),
+                                      st.floats(0.0, 1.0)), min_size=1, max_size=12))
+    if not any(weights):
+        weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    w = np.array(weights)
+    probs = w / w.sum() if draw(st.booleans()) else w  # the draw renormalises
+    top_p = draw(st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
+    return probs, top_p, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def assert_same_draw(probs, top_p, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert nucleus_pick(probs, top_p, rng) == reference_nucleus_pick(probs, top_p, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # one uniform each
+
+
+@settings(max_examples=400, deadline=None)
+@given(nucleus_cases())
+def test_nucleus_pick_matches_choice(case):
+    assert_same_draw(*case)
+
+
+@pytest.mark.parametrize("probs", [
+    [0.4035760681074393, 0.06121156431979067, 0.402805720374044, 0.13240664719872622],
+    [0.1892062428088396, 0.3699426254135193, 0.18289202420717798, 0.24564153023854884,
+     0.012317577331914128],
+    [0.1] * 10,
+], ids=["cumsum-above-1", "cumsum-below-1", "ties-below-1"])
+@pytest.mark.parametrize("top_p", [1.0, 0.9, 0.3])
+def test_nucleus_pick_matches_choice_at_rounding_edges(probs, top_p):
+    # at top_p = 1 a cumsum that rounds past 1 cuts the tail, one below keeps it
+    probs = np.array(probs)
+    for seed in range(50):
+        assert_same_draw(probs, top_p, seed)
+
+
+def outcome(pick, probs, top_p, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return pick(probs, top_p, rng), rng.bit_generator.state
+    except ValueError:
+        return ValueError, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("probs, refused", [
+    ([np.nan] * 3, True),          # the softmax of a NaN logit
+    ([0.3, np.nan, 0.3], True),    # the prefix reaches the NaN
+    ([0.5, np.nan, 0.5], False),   # the prefix stops before it
+    ([0.0, 0.0], True),            # zero mass
+    ([0.5, -0.1], True),           # a negative entry after normalising
+    ([-0.5, -0.5], False),         # normalises to (0.5, 0.5)
+])
+def test_nucleus_pick_refuses_what_choice_refuses(probs, refused):
+    probs = np.array(probs)
+    got = outcome(nucleus_pick, probs, 0.9, 0)
+    assert got == outcome(reference_nucleus_pick, probs, 0.9, 0)
+    assert (got[0] is ValueError) == refused
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3]), st.integers(2, 6), st.floats(0.05, 3.0),
+       st.floats(0.05, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_sample_segment_matches_reference(order, vocab_size, temperature, top_p, seed):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
+    fmap = NgramOneHot(vocab_size, order=order) if order else ZeroFeatureMap(2 * vocab_size)
+    adapter = init_adapter(rng, vocab_size, fmap.dimension, rank=2, alpha=4.0)
+    adapter.b = rng.normal(0.0, 0.5, size=adapter.b.shape)
+    m = ToyLM(vocab, rng.normal(0.0, 1.0, size=(vocab_size, fmap.dimension)), adapter, fmap)
+    s = GenerationSettings(temperature=temperature, top_p=top_p, tokens_per_segment=24)
+    history = list(rng.integers(0, vocab_size, size=int(rng.integers(0, 4))))
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert m.sample_segment(history, s, a) == reference_sample_segment(m, history, s, b)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_settings_validation():

@@ -6,8 +6,9 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import FixedScorer
+from helpers import FixedScorer, reference_matched_terms
 from ttalab.scoring import (
     BiasMonitor,
     CallLedger,
@@ -59,6 +60,20 @@ def test_lexicon_phrase_match():
     sc = LexiconScorer("lex", {"those people": 0.9})
     assert sc.score("i hate those people.") == pytest.approx(0.9)
     assert sc.score("those friendly people") == 0.0
+
+
+# a small alphabet makes repeated and overlapping phrases common
+WORDS = st.sampled_from(["a", "b", "c", "Ab", "b!"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(WORDS, min_size=1, max_size=5).map(" ".join), min_size=1, max_size=8),
+       st.lists(WORDS, max_size=8).map(" ".join))
+# "a b c d e" is longer than the text and "c b" does not occur in it
+@example(["b c", "a", "a b c d e", "c b", "a b"], "a b c a b")
+def test_matched_terms_matches_scan_oracle(terms, text):
+    sc = LexiconScorer("lex", dict.fromkeys(terms, 0.5))
+    assert sc.matched_terms(text) == reference_matched_terms(sc, text)
 
 
 def test_lexicon_rejects_bad_weight():
