@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import sys
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _blas, metrics, ood as oodmod
-from .artifacts import (canonical_json, check_header, file_digest, read_json, read_lines,
+from .artifacts import (check_header, digest_obj, file_digest, read_json, read_lines,
                         write_json, write_text)
 from .genmodel import ToyLM
 from .metrics import aggregate_run, fluency, perplexity, summary_table
@@ -230,7 +229,7 @@ def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
 
 def config_digest(cfg: dict) -> str:
     clean = {k: v for k, v in cfg.items() if not k.startswith("_")}
-    return hashlib.sha256(canonical_json(clean).encode()).hexdigest()
+    return digest_obj(clean)
 
 
 def _load(kind: str, load, path, **kwargs):
@@ -607,6 +606,8 @@ def cmd_ablate(args) -> int:
 
 
 def _embedding_set(cfg: dict, section: str, model, label: str):
+    """The section's embeddings, and its text lines (None when it gives an
+    embeddings file)."""
     spec = cfg[section]
     if (spec["texts"] is None) == (spec["embeddings"] is None):
         raise CliError(EXIT_CONFIG,
@@ -614,7 +615,7 @@ def _embedding_set(cfg: dict, section: str, model, label: str):
                        "texts/embeddings")
     if spec["embeddings"] is not None:
         return _load("embeddings", oodmod.EmbeddingSet.load,
-                     _resolve(cfg, f"{section}.embeddings"))
+                     _resolve(cfg, f"{section}.embeddings")), None
     if model is None:
         raise CliError(EXIT_CONFIG,
                        f"ood config: section {section!r} gives texts, so a model "
@@ -624,7 +625,7 @@ def _embedding_set(cfg: dict, section: str, model, label: str):
     if not texts:
         raise CliError(EXIT_CONFIG, f"text file {path} is empty")
     # the digest names the input without tying the output to where it lives
-    return oodmod.embed_corpus(model, texts, label=label, source=file_digest(path))
+    return oodmod.embed_corpus(model, texts, label=label, source=file_digest(path)), texts
 
 
 def cmd_ood(args) -> int:
@@ -641,9 +642,9 @@ def cmd_ood(args) -> int:
         bg = _load("model", ToyLM.load, _resolve(cfg, "background_model"))
     model = _load("model", ToyLM.load, _resolve(cfg, "model")) if cfg["model"] else None
 
-    reference = _embedding_set(cfg, "reference", model, "reference")
-    id_set = _embedding_set(cfg, "id", model, "id")
-    ood_set = _embedding_set(cfg, "ood", model, "ood")
+    reference, _ = _embedding_set(cfg, "reference", model, "reference")
+    id_set, id_texts = _embedding_set(cfg, "id", model, "id")
+    ood_set, ood_texts = _embedding_set(cfg, "ood", model, "ood")
     if "knn" in cfg["detectors"] and not 1 <= cfg["k"] <= len(reference):
         raise CliError(EXIT_CONFIG, f"k={cfg['k']} out of range for a reference set "
                                     f"of {len(reference)} vectors")
@@ -666,8 +667,6 @@ def cmd_ood(args) -> int:
             s_id = np.array([oodmod.mahalanobis_score(v, mu, sigma)
                              for v in id_set.vectors])
         else:
-            id_texts = read_lines(_resolve(cfg, "id.texts"))
-            ood_texts = read_lines(_resolve(cfg, "ood.texts"))
             s_id = np.array([oodmod.llr_score(t, model, bg) for t in id_texts])
             s_ood = np.array([oodmod.llr_score(t, model, bg) for t in ood_texts])
         results.append(oodmod.evaluate(s_ood, s_id, bootstrap_n=cfg["bootstrap"],

@@ -1,10 +1,10 @@
 """Safe text store: a generic corpus plus a typed bank with ingest filtering.
 
 Typed entries are grouped under the four routing types, filtered at ingest
-to a score threshold and capped per type; the generic corpus is the
-uncapped-by-type fallback tier. Banks are immutable after ingest and stored
-in canonical (type, text) order so that re-ingesting a persisted bank
-reproduces it byte for byte.
+to the safe set (score at or below `SAFE_FILTER`) and capped per type; the
+generic corpus is the uncapped-by-type fallback tier. Banks are immutable
+after ingest and stored in canonical (type, text) order so that
+re-ingesting a persisted bank reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import check_header, read_jsonl, write_jsonl
-from .scoring import TYPE_ORDER
+from .scoring import TYPE_ORDER, is_safe
 
 BANK_KIND = "safebank"
 BANK_VERSION = 1
 DEFAULT_SEPARATOR = "<sep>"
+# typed entries must score at or below this to enter a bank
+SAFE_FILTER = 0.2
 
 # source axis labels -> routing types; anything else lands in `other`
 AXIS_MAP = {
@@ -70,7 +72,7 @@ class SafeBank:
     def load(cls, path) -> "SafeBank":
         header, records = read_jsonl(path)
         check_header(header, BANK_KIND, BANK_VERSION, path)
-        threshold = header.get("filter", 0.2)
+        threshold = header.get("filter", SAFE_FILTER)
         entries: dict[str, list[SafeEntry]] = {t: [] for t in TYPE_ORDER}
         generic: list[SafeEntry] = []
         for rec in records:
@@ -80,7 +82,12 @@ class SafeBank:
                 continue
             if entry.type not in TYPE_ORDER:
                 raise ValueError(f"{path}: unknown entry type {entry.type!r}")
-            if entry.score > threshold:
+            try:
+                safe = is_safe(entry.score, threshold)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: typed entry {entry.text!r}, score {entry.score}, "
+                                 f"filter {threshold!r}: {exc}") from None
+            if not safe:
                 raise ValueError(
                     f"{path}: typed entry violates ingest filter "
                     f"({entry.score} > {threshold}): {entry.text!r}")
@@ -94,16 +101,17 @@ def _canonical(entries: list[SafeEntry]) -> list[SafeEntry]:
     return sorted(entries, key=lambda e: (e.type, e.text))
 
 
-def ingest(records, scorer, filter_threshold: float = 0.2, caps=None,
+def ingest(records, scorer, caps=None,
            generic_texts=(), generic_target: int = 200, seed: int = 0,
            source_id: str = "inline") -> SafeBank:
     """Build a bank from (text, axis) records plus a generic text stream.
 
     Axes are mapped onto the four routing types (gender -> sex; unknown axes
-    land in `other` and bump a warning counter). Typed entries scoring above
-    `filter_threshold` are dropped. Caps are enforced first-come on a
-    seed-shuffled stream, then storage is canonically sorted, which makes
-    ingest idempotent: re-ingesting a saved bank reproduces it exactly.
+    land in `other` and bump a warning counter). Typed entries outside the
+    safe set (`scoring.is_safe` at `SAFE_FILTER`) are dropped. Caps are
+    enforced first-come on a seed-shuffled stream, then storage is
+    canonically sorted, which makes ingest idempotent: re-ingesting a saved
+    bank reproduces it exactly.
     """
     if caps is None:
         caps = {t: 800 for t in TYPE_ORDER}
@@ -124,7 +132,7 @@ def ingest(records, scorer, filter_threshold: float = 0.2, caps=None,
         if len(buckets[mapped]) >= caps.get(mapped, 0) or text in seen[mapped]:
             continue
         score = float(scorer.score(text))
-        if score > filter_threshold:
+        if not is_safe(score, SAFE_FILTER):
             rejected += 1
             continue
         buckets[mapped].append(SafeEntry(text, mapped, score))
@@ -145,7 +153,7 @@ def ingest(records, scorer, filter_threshold: float = 0.2, caps=None,
 
     meta = {
         "source_id": source_id,
-        "filter": filter_threshold,
+        "filter": SAFE_FILTER,
         "caps": {t: caps.get(t, 0) for t in TYPE_ORDER},
         "generic_target": generic_target,
         "scorer_id": getattr(scorer, "id", "unknown"),

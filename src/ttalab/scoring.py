@@ -136,7 +136,8 @@ def report_score(text: str, scorers, ledger: CallLedger | None = None) -> float:
 
 
 def is_safe(mean: float, tau: float) -> bool:
-    """Sublevel-set membership; the boundary counts as safe."""
+    """Sublevel-set membership; the boundary counts as safe. The safe bank's
+    filter rule, at ingest and on load."""
     if not 0.0 <= mean <= 1.0 or not 0.0 <= tau <= 1.0:
         raise ValueError("scores and thresholds live in [0,1]")
     return mean <= tau
@@ -160,7 +161,7 @@ def route_types(type_scores: dict[str, float], epsilon: float) -> RoutingResult:
     if missing:
         raise ValueError(f"missing type scores for {missing}")
     scores = {t: _clamp(type_scores[t]) for t in TYPE_ORDER}
-    triggered = tuple(t for t in TYPE_ORDER if scores[t] > epsilon)
+    triggered = tuple(t for t in TYPE_ORDER if should_trigger(scores[t], epsilon))
     dominant = max(TYPE_ORDER, key=lambda t: (scores[t], -TYPE_ORDER.index(t)))
     return RoutingResult(triggered=triggered, dominant=dominant)
 

@@ -45,6 +45,8 @@ SPECIAL = ["<sep>", "[continue", "story]"]
 NEGATIVE_WEIGHTS = {"awful": 0.50, "nasty": 0.45, "vile": 0.55, "rotten": 0.42,
                     "cruel": 0.52, "savage": 0.48}
 GROUP_WEIGHT = 0.12
+# the reporting-committee score a bundled prompt must reach
+PROMPT_MIN_BIAS = 0.4
 
 
 def all_group_words() -> list[str]:
@@ -129,8 +131,9 @@ def biased_corpus(seed: int, n: int = 600, biased_fraction: float = 0.35) -> lis
 
 
 def fit_base_weights(sentences, vocab: Vocabulary, fmap: NgramOneHot,
-                     smoothing: float = 0.5, skip_weight: float = 0.3) -> np.ndarray:
-    """Smoothed log bigram (and damped skip-bigram) counts as base weights.
+                     skip_weight: float = 0.3) -> np.ndarray:
+    """Add-half smoothed log bigram (and damped skip-bigram) counts as base
+    weights.
 
     With the two-block feature map the logit for y decomposes as
     W1[y, last] + W2[y, prev_last]; both blocks are column-normalized log
@@ -145,42 +148,41 @@ def fit_base_weights(sentences, vocab: Vocabulary, fmap: NgramOneHot,
                 c1[y, ids[i - 1]] += 1.0
             if i >= 2:
                 c2[y, ids[i - 2]] += 1.0
-    p1 = (c1 + smoothing) / (c1 + smoothing).sum(axis=0, keepdims=True)
-    p2 = (c2 + smoothing) / (c2 + smoothing).sum(axis=0, keepdims=True)
+    p1 = (c1 + 0.5) / (c1 + 0.5).sum(axis=0, keepdims=True)
+    p2 = (c2 + 0.5) / (c2 + 0.5).sum(axis=0, keepdims=True)
     return np.concatenate([np.log(p1), skip_weight * np.log(p2)], axis=1)
 
 
-def build_generator(seed: int = 0, rank: int | None = None,
-                    alpha: float | None = None) -> ToyLM:
+def build_generator(seed: int = 0, rank: int | None = None) -> ToyLM:
     """Slanted generator. By default the adapter is full rank with A fixed
-    to the identity, which makes every update column-local on the one-hot
-    features. A random low-rank A leaks a systematic fraction of each step
-    into unrelated context columns (the leak scales like 1/sqrt(rank) and
-    does not average out because A is fixed), and on this feature map that
-    reliably poisons the rare negative-context columns faster than the safe
-    pairs can clean them. Pass an explicit rank to study exactly that
-    failure mode."""
+    to the identity and scale alpha = d, which makes every update
+    column-local on the one-hot features. A random low-rank A leaks a
+    systematic fraction of each step into unrelated context columns (the
+    leak scales like 1/sqrt(rank) and does not average out because A is
+    fixed), and on this feature map that reliably poisons the rare
+    negative-context columns faster than the safe pairs can clean them. Pass an explicit rank (scale alpha = 2 * rank) to
+    study exactly that failure mode."""
     vocab = build_vocab()
     fmap = NgramOneHot(len(vocab), order=2)
     w = fit_base_weights(biased_corpus(seed), vocab, fmap)
     if rank is None:
         d = fmap.dimension
         adapter = AdapterParams(a=np.eye(d), b=np.zeros((len(vocab), d)),
-                                alpha=float(d) if alpha is None else alpha)
+                                alpha=float(d))
     else:
         adapter = init_adapter(np.random.default_rng(seed + 1), len(vocab),
-                               fmap.dimension, rank=rank,
-                               alpha=2.0 * rank if alpha is None else alpha)
+                               fmap.dimension, rank=rank, alpha=2.0 * rank)
     return ToyLM(vocab, w, adapter, fmap)
 
 
-def build_evaluator(seed: int = 0, rank: int = 2, alpha: float = 4.0) -> ToyLM:
-    """Held-out reference model fit on neutral text only; used for PPL."""
+def build_evaluator(seed: int = 0) -> ToyLM:
+    """Held-out reference model fit on neutral text only, with a rank-2
+    adapter; used for PPL."""
     vocab = build_vocab()
     fmap = NgramOneHot(len(vocab), order=2)
     w = fit_base_weights(neutral_corpus(seed + 7), vocab, fmap)
     adapter = init_adapter(np.random.default_rng(seed + 8), len(vocab),
-                           fmap.dimension, rank=rank, alpha=alpha)
+                           fmap.dimension, rank=2, alpha=4.0)
     return ToyLM(vocab, w, adapter, fmap)
 
 
@@ -244,8 +246,9 @@ def build_bank(seed: int = 0, per_type: int = 40, generic_target: int = 30) -> S
                   seed=seed, source_id="bundled-toy")
 
 
-def bias_prompts(seed: int, n: int = 60, min_bias: float = 0.4) -> list[str]:
-    """Prompt pool: short group-plus-negative openers above the bias floor.
+def bias_prompts(seed: int, n: int = 60) -> list[str]:
+    """Prompt pool: short group-plus-negative openers scoring at least
+    `PROMPT_MIN_BIAS`.
 
     Filtering uses the reporting committee, mirroring how evaluation prompts
     are selected by bias score rather than by the trigger machinery."""
@@ -268,10 +271,10 @@ def bias_prompts(seed: int, n: int = 60, min_bias: float = 0.4) -> list[str]:
         if prompt in seen:
             continue
         seen.add(prompt)
-        if report_score(prompt, committee) >= min_bias:
+        if report_score(prompt, committee) >= PROMPT_MIN_BIAS:
             out.append(prompt)
     if len(out) < n:
-        raise RuntimeError(f"could not assemble {n} prompts above bias {min_bias}")
+        raise RuntimeError(f"could not assemble {n} prompts above bias {PROMPT_MIN_BIAS}")
     return out
 
 
@@ -313,8 +316,8 @@ def default_config(**overrides) -> EpisodeConfig:
     return EpisodeConfig(**base)
 
 
-def fisher_corpus(seed: int = 0, n: int = 32) -> list[str]:
-    return biased_corpus(seed + 6, n=n)
+def fisher_corpus(seed: int = 0) -> list[str]:
+    return biased_corpus(seed + 6, n=32)
 
 
 def write_scenario(directory, seed: int = 0, n_prompts: int = 60,

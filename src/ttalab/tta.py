@@ -111,12 +111,6 @@ class EpisodeRecord:
         return cls(segments=segments, **rest)
 
 
-def reset_episode(model) -> None:
-    """Adapter back to phi0, bit-exact; optimizer state is per-episode and
-    simply dropped."""
-    model.reset_adapter()
-
-
 def _split_rng(rng):
     """Generation and bank sampling get independent derived streams."""
     if isinstance(rng, np.random.Generator):
@@ -177,7 +171,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
     """
     config.validate()
     episode_start = time.perf_counter()
-    reset_episode(model)
+    model.reset_adapter()
     phi0 = model.adapter_flat()
 
     cfg = config.update

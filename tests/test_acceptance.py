@@ -46,7 +46,7 @@ from ttalab.precond import (
     estimate_diag_fisher,
 )
 from ttalab.scoring import committee_score, is_safe, route_types, should_trigger
-from ttalab.tta import reset_episode, run_episode, trigger_curve
+from ttalab.tta import run_episode, trigger_curve
 
 
 def small_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
@@ -320,7 +320,7 @@ def test_criterion_07_trigger_and_drift(scenario):
         rounds = sum(len(s.rounds) for s in rec.segments)
         assert rec.final_drift <= rec.delta_norm_sum + 1e-12
         assert rec.delta_norm_sum <= cap * adapt_cfg.update.steps * rounds + 1e-12
-    reset_episode(model)
+    model.reset_adapter()
 
     # frozen-trajectory trigger counts never increase with the threshold
     sweep = np.linspace(0.0, 1.0, 20)
@@ -333,7 +333,7 @@ def test_criterion_07_trigger_and_drift(scenario):
 
 def test_criterion_08_episodic_no_forgetting(scenario):
     model = scenario["model"]
-    reset_episode(model)
+    model.reset_adapter()
     probes = toydata.neutral_corpus(seed=123, n=16)
     assert len(probes) == 16
     before = [perplexity(t, model) for t in probes]
@@ -347,7 +347,7 @@ def test_criterion_08_episodic_no_forgetting(scenario):
         drifted = drifted or rec.final_drift > 0.0
     assert drifted, "adaptation episodes must actually move the adapter"
 
-    reset_episode(model)
+    model.reset_adapter()
     after = [perplexity(t, model) for t in probes]
     assert after == before
 
@@ -393,7 +393,7 @@ def run_scenario_suite(scenario):
         out[name] = {"bias": float(np.mean(scores)),
                      "ppl": float(np.mean(ppls)),
                      "triggered": triggered}
-    reset_episode(model)
+    model.reset_adapter()
     return out
 
 
@@ -533,7 +533,7 @@ def test_criterion_12_cost_structure(scenario, tmp_path, monkeypatch):
         run_episode(prompt, model, toydata.build_monitor(), scenario["bank"],
                     loaded, cfg, np.random.default_rng(70 + i))
     assert len(calls) == 2
-    reset_episode(model)
+    model.reset_adapter()
 
     # preconditioned step is no slower than AdamW + 10% at scenario size
     n = model.param_count

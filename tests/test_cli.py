@@ -5,6 +5,7 @@ scenario directory, so the tests double as a contract for the exit codes
 (0 ok, 2 config, 3 digest, 4 failures) and the on-disk artifact layout.
 """
 
+import inspect
 import json
 import os
 import shutil
@@ -22,7 +23,7 @@ import pytest
 from ttalab import _blas, cli, toydata
 from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
-from ttalab.precond import Preconditioner
+from ttalab.precond import Preconditioner, build_preconditioner, estimate_diag_fisher
 from ttalab.safebank import SafeBank
 from ttalab.tta import EpisodeConfig, load_episodes
 
@@ -489,6 +490,14 @@ def test_cli_defaults_are_library_defaults(tmp_path):
         update=UpdateRuleConfig(kind="precond"))
 
 
+def test_precompute_defaults_are_library_defaults():
+    library = {**inspect.signature(estimate_diag_fisher).parameters,
+               **inspect.signature(build_preconditioner).parameters}
+    defaults = {key: default for key, (_, default) in cli.PRECOMPUTE_SCHEMA.items()
+                if default is not cli.REQUIRED}
+    assert defaults == {key: library[key].default for key in defaults}
+
+
 def test_missing_required_key(ws, tmp_path):
     bad = _run_config(str(tmp_path / "o"))
     del bad["bank"]
@@ -793,6 +802,21 @@ def test_ood_llr_detector(ood_ws, tmp_path):
     assert lines[1].split("\t")[0] == "llr"
 
 
+def test_ood_reads_each_texts_file_once(ood_ws, tmp_path, monkeypatch):
+    reads = []
+
+    def counted(path, _read=cli.read_lines):
+        reads.append(Path(path).name)
+        return _read(path)
+
+    monkeypatch.setattr(cli, "read_lines", counted)
+    assert cli.main(["ood", "--config", str(ood_ws / "ood.json"),
+                     "--set", 'detectors=["knn", "mahalanobis", "llr"]',
+                     "--set", "background_model=scenario/evaluator.json",
+                     "--set", f"output_dir={tmp_path / 'once'}"]) == 0
+    assert sorted(reads) == ["id.txt", "oodset.txt", "ref.txt"]
+
+
 def test_ood_llr_needs_background_model(ood_ws, tmp_path):
     assert cli.main(["ood", "--config", str(ood_ws / "ood.json"),
                      "--set", 'detectors=["llr"]',
@@ -932,6 +956,22 @@ def test_unreadable_artifact_is_config_error(ws, runs, tmp_path, capsys, name, d
         code = cli.main(["run", "--config", str(tmp_path / "run.json")])
     assert code == 2
     assert f"{path}: not a readable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bank_entry_outside_score_range_is_config_error(ws, tmp_path, capsys):
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    shutil.copy(ws / "precond.json", tmp_path / "precond.json")
+    path = tmp_path / "scenario" / "bank.jsonl"
+    lines = path.read_text().splitlines()
+    entry = json.loads(lines[1])
+    assert entry["type"] != "generic"
+    lines[1] = json.dumps({**entry, "score": -0.5})
+    path.write_text("\n".join(lines) + "\n")
+    _write_json(tmp_path / "run.json", _run_config("out"))
+    assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not a readable" in err and repr(entry["text"]) in err
     assert not (tmp_path / "out").exists()
 
 

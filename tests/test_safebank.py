@@ -190,6 +190,23 @@ def test_load_rejects_filter_violation(tmp_path):
         SafeBank.load(path)
 
 
+@pytest.mark.parametrize("line, old, new", [
+    (1, '"score":0.0', '"score":-0.5'),   # a typed entry below the score range
+    (0, '"filter":0.2', '"filter":1.5'),  # a header filter above it
+], ids=["entry-score", "header-filter"])
+def test_load_applies_the_safe_set_range(tmp_path, line, old, new):
+    bank, _ = lexicon_bank()
+    path = tmp_path / "bank.jsonl"
+    bank.save(path)
+    lines = path.read_text().splitlines()
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        SafeBank.load(path)
+    assert str(path) in str(err.value) and "'fine text 0'" in str(err.value)
+
+
 def test_load_rejects_wrong_kind(tmp_path):
     p = tmp_path / "junk.jsonl"
     p.write_text('{"kind": "other", "format_version": 1}\n')

@@ -1,18 +1,25 @@
-"""Every public ttalab name has a reader outside its unit tests.
+"""Every public ttalab name has a reader, and every default has a setter.
 
 A public module-level function or class, or a public method of a
 module-level class, must be referenced (as a name, an attribute or an
 imported alias) somewhere in the package, the demos, the benchmark or the
 acceptance criteria. A name that only its own unit tests reach is surface
-to delete, not to maintain."""
+to delete, not to maintain.
+
+A parameter with a default, on any module-level function or method of a
+module-level class, must be passed by some call in the package, the demos,
+the benchmark or any test: by keyword, by position, or through `*`/`**`
+unpacking. A default that no call overrides is a constant, not a knob."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ttalab"
-READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
-           *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+READERS = [*CALLERS, ROOT / "tests" / "test_acceptance.py"]
+SETTERS = [*CALLERS, *sorted((ROOT / "tests").glob("*.py"))]
 
 # Kept without an in-repo reader, with the reason.
 EXEMPT = {
@@ -61,3 +68,67 @@ def test_every_public_name_has_a_reader():
     unread = {qual for qual, bare in defined_names() if bare not in seen}
     assert sorted(unread - EXEMPT) == [], "public names that only unit tests read"
     assert EXEMPT <= unread, "an exempt name is gone or has a reader now: drop it"
+
+
+# Defaulted parameters kept although no call sets them, each with the reason.
+UNSET_EXEMPT: dict[str, str] = {}
+
+
+def _functions(path):
+    """(qualified name, name a call uses, def node, leading parameters that a
+    call does not pass) for each module-level function and each method of a
+    module-level class; an `__init__` is called by its class name."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", callee, item, 0 if static else 1
+
+
+def defaulted_parameters():
+    """(qualified name, name a call uses, parameter, position in a call or
+    None for keyword-only) for every parameter with a default."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qual, callee, fn, skip in _functions(path):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            out += [(f"{path.stem}.{qual}({a.arg})", callee, a.arg, i - skip)
+                    for i, a in enumerate(positional) if i >= first]
+            out += [(f"{path.stem}.{qual}({a.arg})", callee, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def calls_by_name():
+    calls = {}
+    for path in SETTERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, param, position):
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(a, ast.Starred) for a in call.args[:position + 1])
+
+
+def test_every_defaulted_parameter_has_a_setter():
+    calls = calls_by_name()
+    unset = {qual for qual, callee, param, position in defaulted_parameters()
+             if not any(_sets(c, param, position) for c in calls.get(callee, ()))}
+    assert sorted(unset - set(UNSET_EXEMPT)) == [], \
+        "defaulted parameters that no call sets: make them constants"
+    assert set(UNSET_EXEMPT) <= unset, "an exempt parameter is gone or set now: drop it"

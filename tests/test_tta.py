@@ -23,7 +23,6 @@ from ttalab.tta import (
     aligned_pairs,
     drift_report,
     load_episodes,
-    reset_episode,
     run_episode,
     save_episodes,
     trigger_curve,
@@ -327,10 +326,10 @@ def test_reset_restores_probe_perplexity():
     before = [perplexity(t, model) for t in probes]
     run_episode("calm walk", model, trigger_monitor(), safe_bank(),
                 fitted_preconditioner(model), small_config(), rng=11)
-    reset_episode(model)
+    model.reset_adapter()
     after = [perplexity(t, model) for t in probes]
     assert after == before  # bit-exact float equality
-    reset_episode(model)
+    model.reset_adapter()
     assert [perplexity(t, model) for t in probes] == before  # idempotent
 
 
