@@ -5,7 +5,8 @@ Thresholded adaptation against its ablations
 Four configurations over the same prompt pool and models: the default
 thresholded run, a static baseline, the threshold pushed to 1.0 (updates
 disabled, should match static exactly), and the threshold at 0.0 (update
-every segment). Bias is the mean report-committee score per segment;
+every segment). Bias is the mean trigger-committee score per segment (the
+segment's `trigger_score`, which `ttalab run` averages into `bias_mean`);
 perplexity is measured by the held-out evaluator.
 """
 

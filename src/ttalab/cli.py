@@ -258,7 +258,10 @@ def cmd_precompute(args) -> int:
         model, corpus, n_steps=cfg["n_steps"], batch_size=cfg["batch_size"],
         seed=cfg["seed"], continuation_tokens=cfg["continuation_tokens"],
         empirical=cfg["empirical"])
-    pre = build_preconditioner(estimate, damping=cfg["damping"])
+    try:
+        pre = build_preconditioner(estimate, damping=cfg["damping"])
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"invalid precompute config: {exc}")
 
     out = _resolve(cfg, "output", must_exist=False)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -479,11 +482,7 @@ def cmd_run(args) -> int:
     manifest = {
         "kind": MANIFEST_KIND,
         "format_version": MANIFEST_VERSION,
-        "tool_version": __version__,
-        "label": label,
-        "mode": cfg["mode"],
-        "config_digest": digest,
-        "master_seed": cfg["master_seed"],
+        **meta,
         "artifacts": artifacts,
         "blas": {"library": _blas.STATUS.library, "threads": _blas.STATUS.threads},
         "n_prompts": len(prompts),

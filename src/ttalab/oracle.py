@@ -148,7 +148,8 @@ def kl_projection_certificate(probs, bias, tau: float, trials: int = 10_000,
 
 
 class SequenceSpace:
-    """All length-T continuations of one context, with vectorized tables.
+    """All length-T continuations of one context (token ids), with vectorized
+    tables.
 
     Windows (distinct feature rows encountered anywhere in the space) are
     built once; per-parameter score vectors and outcome log-probs
@@ -158,8 +159,6 @@ class SequenceSpace:
     """
 
     def __init__(self, model, context, length: int, budget: int = 10 ** 6):
-        if isinstance(context, str):
-            context = model.vocab.encode(context)
         vsize = len(model.vocab)
         if vsize ** length > budget:
             raise ValueError(f"enumeration budget exceeded: {vsize}^{length}")
@@ -242,7 +241,8 @@ class SequenceSpace:
 
 
 def kl_vs_fisher_quadratic(model, context, length: int, delta) -> list[dict]:
-    """Exact KL(p_{phi+c*delta} || p_phi) against (c^2/2) delta^T I(phi) delta.
+    """Exact KL(p_{phi+c*delta} || p_phi) against (c^2/2) delta^T I(phi) delta,
+    continuing `context` (token ids).
 
     Returns one row per scale c = 1, 1/2, ..., 1/16 with both sides and their
     ratio (nan when both vanish). The quadratic uses the full exact Fisher at
@@ -281,13 +281,12 @@ def empirical_grad_stats(model, context, targets, weights=None,
                          seed: int = 0, replace: bool = True) -> GradStatsReport:
     """Bias and covariance scaling of the batch-mean update gradient.
 
-    `targets` is the safe-text support (token sequences); `weights` its
-    distribution (uniform when omitted). Per-sample vectors are exact
-    gradients of -log p(target | context), so the only randomness is the
-    batch draw. With replace=False and m equal to the support size the
-    batch mean reproduces the exact gradient (uniform weights only)."""
-    if isinstance(context, str):
-        context = model.vocab.encode(context)
+    `context` and each of `targets`, the safe-text support, are token ids;
+    `weights` is the support's distribution (uniform when omitted).
+    Per-sample vectors are exact gradients of -log p(target | context), so
+    the only randomness is the batch draw. With replace=False and m equal to
+    the support size the batch mean reproduces the exact gradient (uniform
+    weights only)."""
     targets = [list(map(int, t)) for t in targets]
     if weights is None:
         weights = np.full(len(targets), 1.0 / len(targets))

@@ -3,13 +3,16 @@
 The reference Fisher is estimated once, at the episode-start adapter state,
 by sampling continuations from the model itself on a safe corpus and
 averaging squared score entries; the preconditioner is the damped inverse
-of that diagonal and is reused across every episode. The exact Fisher of
-an enumerable model is oracle.SequenceSpace.fisher_diag, on the same kernel.
+P = 1 / (F + damping) of that diagonal and is reused across every episode.
+Its artifact stores F and the damping, from which P is derived; the stored
+P is written for readers, and an artifact whose P disagrees with its F and
+damping is refused (`ttalab run` exits 2). The exact Fisher of an
+enumerable model is oracle.SequenceSpace.fisher_diag, on the same kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,10 +128,21 @@ def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
 
 @dataclass
 class Preconditioner:
-    diag: np.ndarray
-    damping: float
+    """P = 1 / (fisher_diag + damping), derived here and nowhere else.
+
+    The constructor holds the validity rule: damping > 0 and the Fisher
+    diagonal finite and >= 0, so every entry of P lies in (0, 1/damping]."""
     fisher_diag: np.ndarray
+    damping: float
     meta: dict
+    diag: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.damping) and self.damping > 0):
+            raise ValueError(f"damping must be a finite number > 0, got {self.damping!r}")
+        if not (np.isfinite(self.fisher_diag).all() and (self.fisher_diag >= 0).all()):
+            raise ValueError("fisher diagonal must be finite and non-negative")
+        self.diag = 1.0 / (self.fisher_diag + self.damping)
 
     @property
     def n(self) -> int:
@@ -147,14 +161,22 @@ class Preconditioner:
 
     @classmethod
     def load(cls, path, model=None) -> "Preconditioner":
+        """Rebuild from the stored Fisher diagonal and damping; the stored
+        `n` and `diag` must equal the rebuilt ones bit for bit."""
         d = read_json(path)
         check_header(d, PRECOND_KIND, PRECOND_VERSION, path)
         meta = {k: v for k, v in d.items()
                 if k not in ("kind", "format_version", "n", "damping", "diag", "fisher_diag")}
-        pre = cls(diag=decode_array(d["diag"]), damping=d["damping"],
-                  fisher_diag=decode_array(d["fisher_diag"]), meta=meta)
-        if pre.diag.size != d["n"]:
-            raise ValueError(f"{path}: stored n={d['n']} but diagonal has {pre.diag.size}")
+        try:
+            pre = cls(fisher_diag=decode_array(d["fisher_diag"]), damping=d["damping"],
+                      meta=meta)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if d["n"] != pre.n:
+            raise ValueError(f"{path}: stored n={d['n']} but the Fisher diagonal "
+                             f"has {pre.n} entries")
+        if d["diag"] != encode_array(pre.diag):
+            raise ValueError(f"{path}: stored diag is not 1 / (fisher_diag + damping)")
         if model is not None:
             try:
                 pre.check_model(model)
@@ -174,23 +196,10 @@ class Preconditioner:
 
 def build_preconditioner(estimate: FisherDiagEstimate,
                          damping: float = 1e-4) -> Preconditioner:
-    """P_i = 1 / (fisher_i + damping); entries lie in (0, 1/damping]."""
-    if damping <= 0:
-        raise ValueError("damping must be > 0")
-    if np.any(estimate.diag < 0):
-        raise ValueError("fisher diagonal must be non-negative")
+    """The preconditioner of `estimate`, its other fields kept as metadata."""
     return Preconditioner(
-        diag=1.0 / (estimate.diag + damping),
-        damping=damping,
         fisher_diag=estimate.diag.copy(),
-        meta={
-            "n_steps": estimate.n_steps,
-            "batch_size": estimate.batch_size,
-            "sample_count": estimate.sample_count,
-            "continuation_tokens": estimate.continuation_tokens,
-            "corpus_digest": estimate.corpus_digest,
-            "model_digest": estimate.model_digest,
-            "seed": estimate.seed,
-            "empirical": estimate.empirical,
-        },
+        damping=damping,
+        meta={f.name: getattr(estimate, f.name) for f in fields(estimate)
+              if f.name != "diag"},
     )

@@ -18,7 +18,6 @@ from .scoring import TYPE_ORDER, is_safe
 
 BANK_KIND = "safebank"
 BANK_VERSION = 1
-DEFAULT_SEPARATOR = "<sep>"
 # typed entries must score at or below this to enter a bank
 SAFE_FILTER = 0.2
 

@@ -24,7 +24,7 @@ from .scoring import (
     report_score,
     save_lexicon,
 )
-from .tta import EpisodeConfig
+from .tta import DEFAULT_MARKER, DEFAULT_SEPARATOR, EpisodeConfig
 
 SCENARIO_KIND = "toy-scenario"
 SCENARIO_VERSION = 1
@@ -40,7 +40,8 @@ GROUP_TERMS = {
     "religion": ["zelnak", "orvutes"],
 }
 NEGATIVE = ["awful", "nasty", "vile", "rotten", "cruel", "savage"]
-SPECIAL = ["<sep>", "[continue", "story]"]
+# "the" of the marker is already in FUNCTION; the vocabulary keeps first occurrences
+SPECIAL = [DEFAULT_SEPARATOR, *DEFAULT_MARKER.casefold().split()]
 
 NEGATIVE_WEIGHTS = {"awful": 0.50, "nasty": 0.45, "vile": 0.55, "rotten": 0.42,
                     "cruel": 0.52, "savage": 0.48}
@@ -153,25 +154,19 @@ def fit_base_weights(sentences, vocab: Vocabulary, fmap: NgramOneHot,
     return np.concatenate([np.log(p1), skip_weight * np.log(p2)], axis=1)
 
 
-def build_generator(seed: int = 0, rank: int | None = None) -> ToyLM:
-    """Slanted generator. By default the adapter is full rank with A fixed
-    to the identity and scale alpha = d, which makes every update
-    column-local on the one-hot features. A random low-rank A leaks a
-    systematic fraction of each step into unrelated context columns (the
-    leak scales like 1/sqrt(rank) and does not average out because A is
-    fixed), and on this feature map that reliably poisons the rare
-    negative-context columns faster than the safe pairs can clean them. Pass an explicit rank (scale alpha = 2 * rank) to
-    study exactly that failure mode."""
+def build_generator(seed: int = 0) -> ToyLM:
+    """Slanted generator. The adapter is full rank with A fixed to the
+    identity and scale alpha = d, which makes every update column-local on
+    the one-hot features. A random low-rank A would leak a systematic
+    fraction of each step into unrelated context columns (the leak scales
+    like 1/sqrt(rank) and does not average out because A is fixed), and on
+    this feature map that reliably poisons the rare negative-context
+    columns faster than the safe pairs can clean them."""
     vocab = build_vocab()
     fmap = NgramOneHot(len(vocab), order=2)
     w = fit_base_weights(biased_corpus(seed), vocab, fmap)
-    if rank is None:
-        d = fmap.dimension
-        adapter = AdapterParams(a=np.eye(d), b=np.zeros((len(vocab), d)),
-                                alpha=float(d))
-    else:
-        adapter = init_adapter(np.random.default_rng(seed + 1), len(vocab),
-                               fmap.dimension, rank=rank, alpha=2.0 * rank)
+    d = fmap.dimension
+    adapter = AdapterParams(a=np.eye(d), b=np.zeros((len(vocab), d)), alpha=float(d))
     return ToyLM(vocab, w, adapter, fmap)
 
 

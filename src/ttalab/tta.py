@@ -30,11 +30,12 @@ from .optim import (
     precond_step,
     sgd_step,
 )
-from .safebank import BankExhaustedError, DEFAULT_SEPARATOR, sample_safe_batch
+from .safebank import BankExhaustedError, sample_safe_batch
 from .scoring import ScoringError, should_trigger
 
 EPISODES_KIND = "episode-records"
 EPISODES_VERSION = 1
+DEFAULT_SEPARATOR = "<sep>"
 DEFAULT_MARKER = "[Continue the story]"
 
 
@@ -189,10 +190,8 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
     opt_state = AdamWState.zeros(model.param_count) if cfg.kind == "adamw" else None
 
     segments: list[SegmentLog] = []
-    episode_flags: list[str] = []
     gen_total = 0.0
     update_total = 0.0
-    triggered_count = 0
 
     for k in range(config.k_segments):
         if k > 0:
@@ -217,10 +216,8 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
             triggered_types = list(report.triggered_types)
         except ScoringError:
             flags.append("scorer_failure")
-            episode_flags.append("scorer_failure")
 
         if triggered:
-            triggered_count += 1
             if config.multi_trigger and triggered_types:
                 round_types = triggered_types
             else:
@@ -232,7 +229,6 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
                                                 bank_rng)
                 except BankExhaustedError:
                     flags.append("bank_empty")
-                    episode_flags.append("bank_empty")
                     continue
                 pairs = aligned_pairs(history, entries, model.vocab)
                 rounds.append(_update_round(model, pairs, cfg, phi0, pre_diag,
@@ -251,10 +247,10 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
         prompt_id=prompt_id if prompt_id is not None else prompt,
         prompt=prompt,
         segments=segments,
-        trigger_rate=triggered_count / config.k_segments,
-        final_drift=float(np.linalg.norm(model.adapter_flat() - phi0)),
+        trigger_rate=sum(s.triggered for s in segments) / config.k_segments,
+        final_drift=segments[-1].drift_norm,
         delta_norm_sum=float(delta_sum),
-        flags=sorted(set(episode_flags)),
+        flags=sorted({f for s in segments for f in s.flags}),
         timing={
             "generation_time_total": gen_total,
             "update_time_total": update_total,

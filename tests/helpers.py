@@ -18,8 +18,8 @@ from ttalab.optim import (
     precond_step,
     sgd_step,
 )
-from ttalab.safebank import DEFAULT_SEPARATOR
 from ttalab.scoring import normalize_words
+from ttalab.tta import DEFAULT_SEPARATOR
 
 
 class BernoulliModel:

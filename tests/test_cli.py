@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from ttalab import _blas, cli, toydata
+from ttalab.artifacts import decode_array, encode_array
 from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
 from ttalab.precond import Preconditioner, build_preconditioner, estimate_diag_fisher
@@ -143,6 +144,15 @@ def test_precompute_rerun_is_byte_identical(ws, tmp_path):
                      "--set", f"output={tmp_path / 'again.json'}"])
     assert code == 0
     assert (tmp_path / "again.json").read_bytes() == (ws / "precond.json").read_bytes()
+
+
+@pytest.mark.parametrize("damping", ["0", "-1e-4", "NaN"])
+def test_precompute_bad_damping_is_config_error(ws, tmp_path, capsys, damping):
+    out = tmp_path / "pre.json"
+    assert cli.main(["precompute", "--config", str(ws / "precompute.json"),
+                     "--set", f"output={out}", "--set", f"damping={damping}"]) == 2
+    assert "damping must be a finite number > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- run ----------------------------------------------------------------------
@@ -972,6 +982,20 @@ def test_bank_entry_outside_score_range_is_config_error(ws, tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 2
     err = capsys.readouterr().err
     assert f"{path}: not a readable" in err and repr(entry["text"]) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_precond_that_disagrees_with_its_fisher_is_config_error(ws, tmp_path, capsys):
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    path = tmp_path / "precond.json"
+    doc = json.loads((ws / "precond.json").read_text())
+    diag = decode_array(doc["diag"])
+    diag[0] = np.nextafter(diag[0], 0.0)
+    _write_json(path, {**doc, "diag": encode_array(diag)})
+    _write_json(tmp_path / "run.json", _run_config("out"))
+    assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not a readable" in err and "1 / (fisher_diag + damping)" in err
     assert not (tmp_path / "out").exists()
 
 

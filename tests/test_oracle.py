@@ -244,7 +244,7 @@ def test_kl_fisher_ratio_approaches_one():
     rng = np.random.default_rng(2)
     delta = rng.normal(size=model.param_count)
     delta /= np.linalg.norm(delta)
-    rows = kl_vs_fisher_quadratic(model, "w0 w2", 2, delta)
+    rows = kl_vs_fisher_quadratic(model, model.vocab.encode("w0 w2"), 2, delta)
     assert rows[0]["scale"] == 1.0 and rows[-1]["scale"] == 0.0625
     assert all(r["kl"] >= 0.0 for r in rows)
     assert abs(rows[-1]["ratio"] - 1.0) < 0.05
@@ -255,7 +255,8 @@ def test_kl_fisher_ratio_approaches_one():
 
 def test_kl_fisher_zero_delta():
     model = tiny_model(seed=12)
-    rows = kl_vs_fisher_quadratic(model, "w0", 1, np.zeros(model.param_count))
+    rows = kl_vs_fisher_quadratic(model, model.vocab.encode("w0"), 1,
+                                  np.zeros(model.param_count))
     for r in rows:
         assert r["kl"] == 0.0 and r["quadratic"] == 0.0 and math.isnan(r["ratio"])
 
@@ -266,7 +267,7 @@ def test_kl_fisher_invariant_direction():
     model = tiny_model(seed=13, off_zero=False)
     delta = np.zeros(model.param_count)
     delta[: model.adapter.a.size] = 1.0
-    rows = kl_vs_fisher_quadratic(model, "w1", 2, delta)
+    rows = kl_vs_fisher_quadratic(model, model.vocab.encode("w1"), 2, delta)
     for r in rows:
         assert abs(r["kl"]) < 1e-15 and abs(r["quadratic"]) < 1e-15
 

@@ -1,9 +1,13 @@
 """Fisher estimation and the damped preconditioner."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from helpers import BernoulliModel, ZeroFeatureMap, brute_force_fisher
+from ttalab.artifacts import decode_array, encode_array
 from ttalab.genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
 from ttalab.oracle import SequenceSpace
 from ttalab.precond import (
@@ -180,6 +184,8 @@ def test_precond_roundtrip_and_digest_guard(tmp_path):
     assert loaded.diag.tobytes() == pre.diag.tobytes()
     assert loaded.fisher_diag.tobytes() == pre.fisher_diag.tobytes()
     assert loaded.meta["corpus_digest"] == est.corpus_digest
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     other = tiny_model(seed=22)
     with pytest.raises(DigestMismatchError):
@@ -200,6 +206,36 @@ def test_check_model_needs_matching_size_and_digest(monkeypatch):
     monkeypatch.setattr(ToyLM, "model_digest", lambda self: pytest.fail("digested"))
     with pytest.raises(DigestMismatchError, match="parameter count"):
         small.check_model(model)
+
+
+def _nudge(doc, key, value=None):
+    """`doc` with entry 1 of the stored array `key` moved one ulp up, or set
+    to `value`."""
+    a = decode_array(doc[key])
+    a[1] = np.nextafter(a[1], np.inf) if value is None else value
+    return {**doc, key: encode_array(a)}
+
+
+def _short(doc):
+    """n and P one entry short, consistent with each other but not with F."""
+    diag = decode_array(doc["diag"])[:-1]
+    return {**doc, "n": diag.size, "diag": encode_array(diag)}
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(lambda d: _nudge(d, "diag"), id="diag-entry"),
+    pytest.param(_short, id="n"),
+    pytest.param(lambda d: {**d, "damping": 0.0}, id="damping-zero"),
+    pytest.param(lambda d: _nudge(d, "fisher_diag", -1e-3), id="fisher-negative"),
+    pytest.param(lambda d: _nudge(d, "fisher_diag", np.nan), id="fisher-nan"),
+])
+def test_precond_load_refuses_a_disagreeing_artifact(tmp_path, tamper):
+    path = tmp_path / "precond.json"
+    build_preconditioner(fake_estimate([0.5, 2.0, 0.0]), damping=1e-4).save(path)
+    Preconditioner.load(path)
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        Preconditioner.load(path)
 
 
 def test_precond_load_rejects_wrong_kind(tmp_path):

@@ -50,12 +50,6 @@ def test_default_generator_adapter_is_identity_full_rank():
     assert model.param_count == d * d + len(model.vocab) * d
 
 
-def test_low_rank_generator_option():
-    model = toydata.build_generator(0, rank=4)
-    assert model.adapter.rank == 4
-    assert model.adapter.scale == pytest.approx(2.0)
-
-
 def test_trigger_committee_hand_value():
     monitor = toydata.build_monitor()
     report = monitor.evaluate("the blorix rotten", EPS)
