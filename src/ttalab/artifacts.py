@@ -1,5 +1,8 @@
 """Shared helpers for on-disk artifacts: bit-exact arrays, digests, atomic
-writes, JSON/JSONL and plain-text line files."""
+writes, JSON/JSONL and plain-text line files.
+
+`write_text` is the only code in the package that puts bytes into a file;
+every other writer builds its text and hands it over."""
 
 from __future__ import annotations
 
@@ -57,15 +60,20 @@ def write_text(path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def json_text(obj) -> str:
+    """The text `write_json` writes for `obj`."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, obj) -> None:
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json_text(obj))
 
 
 def check_header(doc, kind: str, version: int, path) -> None:

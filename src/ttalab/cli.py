@@ -28,16 +28,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _blas, metrics, ood as oodmod
-from .artifacts import (check_header, digest_obj, file_digest, read_json, read_lines,
-                        write_json, write_text)
+from .artifacts import (check_header, digest_obj, file_digest, json_text, read_json,
+                        read_lines, write_json, write_text)
 from .genmodel import ToyLM
 from .metrics import aggregate_run, fluency, perplexity, summary_table
 from .optim import UpdateRuleConfig
 from .precond import (
     DigestMismatchError,
+    EstimationError,
     Preconditioner,
     build_preconditioner,
+    check_damping,
     estimate_diag_fisher,
+    sampling_settings,
 )
 from .safebank import SafeBank
 from .scoring import CUED_TYPES, BiasMonitor, load_lexicon, report_score
@@ -247,7 +250,16 @@ def _load(kind: str, load, path, **kwargs):
 
 
 def cmd_precompute(args) -> int:
+    """Estimate and write the preconditioner; with --verify, recompute it and
+    compare its text in memory with the artifact at `output`, writing nothing.
+    Every config value is checked before the estimate starts."""
     cfg = load_config(args.config, PRECOMPUTE_SCHEMA, args.set or ())
+    try:
+        sampling_settings(cfg["n_steps"], cfg["batch_size"], cfg["continuation_tokens"])
+        check_damping(cfg["damping"])
+    except (EstimationError, ValueError) as exc:
+        raise CliError(EXIT_CONFIG, f"invalid precompute config: {exc}")
+    out = _resolve(cfg, "output", must_exist=args.verify)
     model = _load("model", ToyLM.load, _resolve(cfg, "model"))
     corpus_path = _resolve(cfg, "corpus")
     corpus = _load("corpus", read_lines, corpus_path)
@@ -263,19 +275,14 @@ def cmd_precompute(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, f"invalid precompute config: {exc}")
 
-    out = _resolve(cfg, "output", must_exist=False)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if args.verify and out.exists():
-        before = file_digest(out)
-        tmp = out.with_suffix(out.suffix + ".verify")
-        pre.save(tmp)
-        after = file_digest(tmp)
-        tmp.unlink()
-        if before != after:
+    if args.verify:
+        existing = _load("preconditioner", Path.read_bytes, out)
+        if existing != json_text(pre.to_record()).encode("utf-8"):
             raise CliError(EXIT_DIGEST,
                            f"{out}: existing artifact does not match recomputation")
         print(f"verified {out}")
     else:
+        out.parent.mkdir(parents=True, exist_ok=True)
         pre.save(out)
         print(f"wrote {out}")
     print(_blas.STATUS)
@@ -400,6 +407,13 @@ def _artifact(path: Path) -> dict:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, RUN_SCHEMA, args.set or ())
     started = time.time()
+    sample = cfg["prompts"]["sample"]
+    if sample is not None and sample < 1:
+        raise CliError(EXIT_CONFIG, f"config key 'prompts.sample' must be >= 1, got {sample}")
+    bound = cfg["failure_fraction_max"]
+    if not 0.0 <= bound <= 1.0:
+        raise CliError(EXIT_CONFIG,
+                       f"config key 'failure_fraction_max' must lie in [0, 1], got {bound}")
 
     model_path = _resolve(cfg, "model")
     bank_path = _resolve(cfg, "bank")

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_text
+
 FAR_OOD_AUROC = 0.95
 
 
@@ -45,10 +47,9 @@ class EmbeddingSet:
         return self.vectors.shape[1]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.dim} {len(self)} {self.source} {self.label}\n")
-            for row in self.vectors:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        lines = [f"{self.dim} {len(self)} {self.source} {self.label}"]
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in self.vectors]
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "EmbeddingSet":

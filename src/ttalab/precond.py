@@ -56,6 +56,23 @@ def corpus_digest(corpus) -> str:
                        for item in corpus])
 
 
+def sampling_settings(n_steps: int, batch_size: int,
+                      continuation_tokens: int) -> GenerationSettings:
+    """The settings an estimate draws its continuations with, after the
+    estimate's own checks: EstimationError on a step or batch count below 1,
+    ValueError on a continuation length that GenerationSettings refuses."""
+    for name, value in (("n_steps", n_steps), ("batch_size", batch_size)):
+        if value < 1:
+            raise EstimationError(f"{name} must be >= 1, got {value}")
+    settings = GenerationSettings(temperature=1.0, top_p=1.0,
+                                  tokens_per_segment=continuation_tokens)
+    try:
+        settings.validate()
+    except ValueError as exc:
+        raise ValueError(f"continuation_tokens={continuation_tokens}: {exc}") from None
+    return settings
+
+
 @dataclass
 class FisherDiagEstimate:
     diag: np.ndarray
@@ -87,14 +104,11 @@ def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
     corpus = list(corpus)
     if not corpus:
         raise EstimationError("cannot estimate Fisher on an empty corpus")
-    if n_steps < 1 or batch_size < 1:
-        raise EstimationError("n_steps and batch_size must be >= 1")
+    settings = sampling_settings(n_steps, batch_size, continuation_tokens)
 
     acc = KahanSum(model.param_count)
     count = 0
     children = np.random.SeedSequence(seed).spawn(n_steps)
-    settings = GenerationSettings(temperature=1.0, top_p=1.0,
-                                  tokens_per_segment=continuation_tokens)
     for step in range(n_steps):
         rng = np.random.default_rng(children[step])
         picks = rng.integers(0, len(corpus), size=batch_size)
@@ -126,6 +140,13 @@ def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
     )
 
 
+def check_damping(damping: float) -> None:
+    """The damping rule: finite and > 0, so every entry of P lies in
+    (0, 1/damping]. `ttalab precompute` checks it before estimating."""
+    if not (np.isfinite(damping) and damping > 0):
+        raise ValueError(f"damping must be a finite number > 0, got {damping!r}")
+
+
 @dataclass
 class Preconditioner:
     """P = 1 / (fisher_diag + damping), derived here and nowhere else.
@@ -138,8 +159,7 @@ class Preconditioner:
     diag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.damping) and self.damping > 0):
-            raise ValueError(f"damping must be a finite number > 0, got {self.damping!r}")
+        check_damping(self.damping)
         if not (np.isfinite(self.fisher_diag).all() and (self.fisher_diag >= 0).all()):
             raise ValueError("fisher diagonal must be finite and non-negative")
         self.diag = 1.0 / (self.fisher_diag + self.damping)
@@ -148,8 +168,9 @@ class Preconditioner:
     def n(self) -> int:
         return self.diag.size
 
-    def save(self, path) -> None:
-        write_json(path, {
+    def to_record(self) -> dict:
+        """The JSON document `save` writes."""
+        return {
             "kind": PRECOND_KIND,
             "format_version": PRECOND_VERSION,
             "n": self.n,
@@ -157,7 +178,10 @@ class Preconditioner:
             "diag": encode_array(self.diag),
             "fisher_diag": encode_array(self.fisher_diag),
             **self.meta,
-        })
+        }
+
+    def save(self, path) -> None:
+        write_json(path, self.to_record())
 
     @classmethod
     def load(cls, path, model=None) -> "Preconditioner":

@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifacts import write_text
+
 TYPE_ORDER = ("race", "sex", "religion", "other")
 # the types a cue lexicon gates; `other` always carries the committee mean
 CUED_TYPES = TYPE_ORDER[:-1]
@@ -75,7 +77,7 @@ class LexiconScorer:
 
 def save_lexicon(path, terms: dict[str, float]) -> None:
     lines = [f"{term}\t{weight}" for term, weight in terms.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_lexicon(path, scorer_id: str | None = None) -> LexiconScorer:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import canonical_json, file_digest
+from .artifacts import canonical_json, file_digest, write_text
 from .genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
 from .optim import UpdateRuleConfig
 from .safebank import SafeBank, ingest
@@ -62,24 +62,31 @@ def build_vocab() -> Vocabulary:
 # -- corpora ---------------------------------------------------------------------
 
 
+def _pick(rng: np.random.Generator, words):
+    """One uniform word: the single bounded integer draw `rng.choice(words)`
+    takes, so the picks and the stream state are the same, without building
+    an array from `words` on every call."""
+    return words[rng.integers(len(words))]
+
+
 def _neutral_sentence(rng: np.random.Generator) -> str:
-    det = rng.choice(["the", "a"])
-    noun = rng.choice(NOUNS)
-    verb = rng.choice(VERBS)
-    adj = rng.choice(ADJECTIVES)
+    det = _pick(rng, ["the", "a"])
+    noun = _pick(rng, NOUNS)
+    verb = _pick(rng, VERBS)
+    adj = _pick(rng, ADJECTIVES)
     forms = [
         f"{det} {noun} {verb} {adj}",
         f"{det} {adj} {noun} {verb}",
-        f"{det} {noun} {verb} and the {rng.choice(NOUNS)} {rng.choice(VERBS)}",
+        f"{det} {noun} {verb} and the {_pick(rng, NOUNS)} {_pick(rng, VERBS)}",
         f"then the {noun} {verb} so {adj}",
     ]
     return forms[rng.integers(len(forms))]
 
 
 def _biased_sentence(rng: np.random.Generator) -> str:
-    group = rng.choice(all_group_words())
-    neg = rng.choice(NEGATIVE)
-    neg2 = rng.choice(NEGATIVE)
+    group = _pick(rng, all_group_words())
+    neg = _pick(rng, NEGATIVE)
+    neg2 = _pick(rng, NEGATIVE)
     forms = [
         f"the {group} {neg} and {neg2}",
         f"{group} are so {neg}",
@@ -99,10 +106,10 @@ def _group_neutral_sentence(rng: np.random.Generator, group_type: str) -> str:
     group mention placed mid-sentence would instead teach the model to
     bring groups up more often, which on a bigram-featured generator
     amplifies the very associations the update is meant to dampen."""
-    group = rng.choice(GROUP_TERMS[group_type])
-    n1, n2 = rng.choice(NOUNS), rng.choice(NOUNS)
-    v1, v2 = rng.choice(VERBS), rng.choice(VERBS)
-    a1, a2 = rng.choice(ADJECTIVES), rng.choice(ADJECTIVES)
+    group = _pick(rng, GROUP_TERMS[group_type])
+    n1, n2 = _pick(rng, NOUNS), _pick(rng, NOUNS)
+    v1, v2 = _pick(rng, VERBS), _pick(rng, VERBS)
+    a1, a2 = _pick(rng, ADJECTIVES), _pick(rng, ADJECTIVES)
     forms = [
         f"{group} {v1} {a1} and the {n1} {v2} so {a2}",
         f"{group} are {a1} and the {n1} {v1} and the {n2} {v2}",
@@ -254,8 +261,8 @@ def bias_prompts(seed: int, n: int = 60) -> list[str]:
     attempts = 0
     while len(out) < n and attempts < 200 * n:
         attempts += 1
-        group = rng.choice(all_group_words())
-        neg = rng.choice(NEGATIVE)
+        group = _pick(rng, all_group_words())
+        neg = _pick(rng, NEGATIVE)
         forms = [
             f"the {group} {neg}",
             f"{group} are so {neg}",
@@ -325,9 +332,8 @@ def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
     build_evaluator(seed).save(directory / "evaluator.json")
     build_bank(seed, per_type=per_type).save(directory / "bank.jsonl")
     prompts = bias_prompts(seed + 11, n=n_prompts)
-    (directory / "prompts.txt").write_text("\n".join(prompts) + "\n")
-    (directory / "fisher_corpus.txt").write_text(
-        "\n".join(fisher_corpus(seed)) + "\n")
+    write_text(directory / "prompts.txt", "\n".join(prompts) + "\n")
+    write_text(directory / "fisher_corpus.txt", "\n".join(fisher_corpus(seed)) + "\n")
 
     lexicon_files = {}
     for i, terms in enumerate(trigger_lexicons()):
@@ -355,5 +361,5 @@ def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
         "files": {name: file_digest(directory / name) for name in sorted(files)},
         "lexicons": lexicon_files,
     }
-    (directory / "scenario.json").write_text(canonical_json(manifest) + "\n")
+    write_text(directory / "scenario.json", canonical_json(manifest) + "\n")
     return manifest

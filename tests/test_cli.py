@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttalab import _blas, cli, toydata
+from ttalab import _blas, artifacts, cli, toydata
 from ttalab.artifacts import decode_array, encode_array
 from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
@@ -153,6 +153,59 @@ def test_precompute_bad_damping_is_config_error(ws, tmp_path, capsys, damping):
                      "--set", f"output={out}", "--set", f"damping={damping}"]) == 2
     assert "damping must be a finite number > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _refuse_estimate(*args, **kwargs):
+    raise AssertionError("the config should have been refused before estimating")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_steps", "0"), ("batch_size", "0"), ("batch_size", "-2"),
+    ("continuation_tokens", "0"), ("damping", "0"),
+])
+def test_precompute_refuses_bad_config_before_estimating(ws, tmp_path, capsys,
+                                                         monkeypatch, key, value):
+    monkeypatch.setattr(cli, "estimate_diag_fisher", _refuse_estimate)
+    out = tmp_path / "sub" / "pre.json"
+    assert cli.main(["precompute", "--config", str(ws / "precompute.json"),
+                     "--set", f"output={out}", "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "sub").exists()
+
+
+def test_precompute_verify_without_artifact_is_config_error(ws, tmp_path, capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(cli, "estimate_diag_fisher", _refuse_estimate)
+    out = tmp_path / "sub" / "pre.json"
+    assert cli.main(["precompute", "--config", str(ws / "precompute.json"),
+                     "--set", f"output={out}", "--verify"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'output'" in err
+    assert not (tmp_path / "sub").exists()
+
+
+def test_precompute_verify_writes_nothing(ws, tmp_path, monkeypatch):
+    """--verify compares in memory: it succeeds on a read-only copy of a
+    matching artifact and leaves nothing beside it. Root ignores file modes,
+    so the package's one writer is made to refuse as well."""
+    ro = tmp_path / "ro"
+    ro.mkdir()
+    shutil.copy(ws / "precond.json", ro / "precond.json")
+    (ro / "precond.json").chmod(0o444)
+    ro.chmod(0o555)
+
+    def read_only(path, text):
+        raise PermissionError(f"read-only directory: {path}")
+
+    monkeypatch.setattr(artifacts, "write_text", read_only)
+    try:
+        assert cli.main(["precompute", "--config", str(ws / "precompute.json"),
+                         "--set", f"output={ro / 'precond.json'}", "--verify"]) == 0
+        assert sorted(p.name for p in ro.iterdir()) == ["precond.json"]
+        assert (ro / "precond.json").read_bytes() == (ws / "precond.json").read_bytes()
+    finally:
+        ro.chmod(0o755)
 
 
 # -- run ----------------------------------------------------------------------
@@ -566,6 +619,25 @@ def test_sample_larger_than_prompt_pool(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
                      "--set", "prompts.sample=999"]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prompts.sample", "-3"), ("prompts.sample", "0"),
+    ("failure_fraction_max", "-1"), ("failure_fraction_max", "1.5"),
+    ("failure_fraction_max", "NaN"),
+])
+def test_run_refuses_bad_limits_before_any_episode(ws, tmp_path, capsys, monkeypatch,
+                                                   key, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the config should have been refused before any episode")
+
+    monkeypatch.setattr(cli, "run_episode", refuse)
+    assert cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_not_found(tmp_path):

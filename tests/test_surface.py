@@ -9,7 +9,11 @@ to delete, not to maintain.
 A parameter with a default, on any module-level function or method of a
 module-level class, must be passed by some call in the package, the demos,
 the benchmark or any test: by keyword, by position, or through `*`/`**`
-unpacking. A default that no call overrides is a constant, not a knob."""
+unpacking. A default that no call overrides is a constant, not a knob.
+
+Only `artifacts` puts bytes into a file: every other module hands its text
+to `artifacts.write_text`, which writes a temporary file and renames it into
+place, so a crashed command leaves no half-written artifact."""
 
 import ast
 from pathlib import Path
@@ -132,3 +136,44 @@ def test_every_defaulted_parameter_has_a_setter():
     assert sorted(unset - set(UNSET_EXEMPT)) == [], \
         "defaulted parameters that no call sets: make them constants"
     assert set(UNSET_EXEMPT) <= unset, "an exempt parameter is gone or set now: drop it"
+
+
+# The one module that writes files.
+WRITER = PACKAGE / "artifacts.py"
+_MODE_CHARS = set("rwaxbt+")
+
+
+def _write_mode(node) -> bool:
+    """A constant open mode that writes, appends or creates."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and set(node.value) <= _MODE_CHARS and bool(set(node.value) & set("wax+")))
+
+
+def file_writes(path):
+    """`file:line call` for each call in `path` that opens a file with a write,
+    append or create mode, or calls `.write_text`/`.write_bytes` on anything
+    but the `artifacts` module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            hit = getattr(func.value, "id", None) != "artifacts"
+        elif getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+            # open(file, mode) or Path.open(mode)
+            modes = node.args[1:] if isinstance(func, ast.Name) else node.args
+            hit = any(_write_mode(a) for a in
+                      [*modes, *(kw.value for kw in node.keywords if kw.arg == "mode")])
+        else:
+            hit = False
+        if hit:
+            out.append(f"{path.name}:{node.lineno} {ast.unparse(func)}")
+    return out
+
+
+def test_only_artifacts_writes_files():
+    writes = [w for path in sorted(PACKAGE.glob("*.py")) if path != WRITER
+              for w in file_writes(path)]
+    assert writes == [], "file writes that bypass artifacts.write_text"
+    assert file_writes(WRITER), "the writer itself is gone: update WRITER"

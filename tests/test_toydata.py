@@ -137,3 +137,17 @@ def test_default_config_matches_manifest_defaults():
     assert cfg.update.steps == d["steps"]
     over = toydata.default_config(epsilon=0.0, adapt=False)
     assert over.epsilon == 0.0 and not over.adapt
+
+
+@pytest.mark.parametrize("words", [["the", "a"], toydata.NOUNS, toydata.VERBS,
+                                   toydata.ADJECTIVES, toydata.NEGATIVE,
+                                   toydata.all_group_words(), toydata.GROUP_TERMS["race"]],
+                         ids=["det", "nouns", "verbs", "adjectives", "negative",
+                              "groups", "race"])
+def test_word_pick_is_the_draw_choice_takes(words):
+    """The scenario writer's picks and stream state equal `rng.choice`'s, so
+    every scenario byte is the same as when it drew with choice."""
+    ours, ref = np.random.default_rng(1234), np.random.default_rng(1234)
+    picks = [toydata._pick(ours, words) for _ in range(5000)]
+    assert picks == [str(ref.choice(words)) for _ in range(5000)]
+    assert ours.bit_generator.state == ref.bit_generator.state
