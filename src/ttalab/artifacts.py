@@ -49,9 +49,15 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def read_text(path) -> str:
+    """A text file's contents, decoded as UTF-8 as `write_text` encodes them,
+    whatever the locale."""
+    return Path(path).read_text(encoding="utf-8")
+
+
 def read_lines(path) -> list[str]:
     """The non-blank lines of a text file, in order."""
-    return [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    return [ln for ln in read_text(path).splitlines() if ln.strip()]
 
 
 def write_text(path, text: str) -> None:
@@ -87,7 +93,7 @@ def check_header(doc, kind: str, version: int, path) -> None:
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return json.loads(read_text(path))
 
 
 def write_jsonl(path, header: dict, records) -> None:

@@ -3,8 +3,8 @@
 Every run is driven by a strict JSON config (unknown keys are errors, every
 hyperparameter is a named key) plus repeatable --set dotted overrides. A
 (config digest, master seed) pair determines every output byte except the
-wall-clock fields: `timing` in each records.jsonl record and metrics.json
-row, `update_time_mean`/`test_time_mean` in summary.tsv, and
+wall-clock fields: `timing` in each episode record and metric row,
+`update_time_mean`/`test_time_mean` in summary.tsv, and
 `wall_clock_seconds` in manifest.json. That holds on any core count for one
 OpenBLAS build, which runs on one thread (see `_blas`) and is named in the
 manifest's `blas` entry. `run` prints one progress line per finished
@@ -48,7 +48,8 @@ from .tta import EpisodeConfig, load_episodes, run_episode, save_episodes, trigg
 
 MANIFEST_KIND = "run-manifest"
 MANIFEST_VERSION = 1
-# the manifest keys that `report` reads
+MANIFEST_FILE = "manifest.json"
+# the manifest keys that `read_run` requires
 MANIFEST_KEYS = ("label", "mode", "config_digest", "outputs.records",
                  "outputs.metrics", "artifacts.model.digest", "artifacts.bank.digest")
 
@@ -217,14 +218,18 @@ def _config_path(cfg: dict, value) -> Path:
 
 
 def _config_value(cfg: dict, key_path: str):
+    """The value at a dotted key path; a part indexes a list by position."""
     node = cfg
     for part in key_path.split("."):
-        node = node[part]
+        node = node[int(part)] if isinstance(node, list) else node[part]
     return node
 
 
 def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
-    p = _config_path(cfg, _config_value(cfg, key_path))
+    value = _config_value(cfg, key_path)
+    if not isinstance(value, str):
+        raise CliError(EXIT_CONFIG, f"config key {key_path!r}: {value!r} is not a path")
+    p = _config_path(cfg, value)
     if must_exist and not p.exists():
         raise CliError(EXIT_CONFIG, f"config key {key_path!r}: no such file: {p}")
     return p
@@ -297,12 +302,16 @@ def cmd_precompute(args) -> int:
 # -- run ---------------------------------------------------------------------------
 
 
-def _load_scorers(cfg: dict):
-    def lexicon(key, value, scorer_id=None):
-        if not isinstance(value, str):
-            raise CliError(EXIT_CONFIG, f"config key {key!r}: {value!r} is not a lexicon path")
-        return _load("lexicon", load_lexicon, _config_path(cfg, value), scorer_id=scorer_id)
+def _read_input(cfg: dict, inputs: dict, key: str, kind: str, load, **kwargs):
+    """`load` on the file at config key `key`, through `_load`; its path and
+    digest go into `inputs` under `key`, for the run manifest."""
+    path = _resolve(cfg, key)
+    loaded = _load(kind, load, path, **kwargs)
+    inputs[key] = {"path": str(path), "digest": file_digest(path)}
+    return loaded
 
+
+def _load_scorers(cfg: dict, inputs: dict):
     lex = cfg["lexicons"]
     for role in ("trigger", "report"):
         if not lex[role]:
@@ -310,14 +319,18 @@ def _load_scorers(cfg: dict):
     for t in lex["cue"]:
         if t not in CUED_TYPES:
             raise CliError(EXIT_CONFIG, f"lexicons.cue.{t}: cue types are {CUED_TYPES}")
-    return ([lexicon("lexicons.trigger", p) for p in lex["trigger"]],
-            [lexicon("lexicons.report", p) for p in lex["report"]],
-            {t: lexicon(f"lexicons.cue.{t}", p, f"cue-{t}") for t, p in lex["cue"].items()})
+
+    def committee(role):
+        return [_read_input(cfg, inputs, f"lexicons.{role}.{i}", "lexicon", load_lexicon)
+                for i in range(len(lex[role]))]
+
+    return (committee("trigger"), committee("report"),
+            {t: _read_input(cfg, inputs, f"lexicons.cue.{t}", "lexicon", load_lexicon,
+                            scorer_id=f"cue-{t}") for t in lex["cue"]})
 
 
-def _select_prompts(cfg: dict, report_scorers) -> list[str]:
-    path = _resolve(cfg, "prompts.path")
-    lines = _load("prompt", read_lines, path)
+def _select_prompts(cfg: dict, inputs: dict, report_scorers) -> list[str]:
+    lines = _read_input(cfg, inputs, "prompts.path", "prompt", read_lines)
     floor = cfg["prompts"]["min_bias"]
     kept = [ln for ln in lines if report_score(ln, report_scorers) >= floor]
     n = cfg["prompts"]["sample"]
@@ -325,8 +338,8 @@ def _select_prompts(cfg: dict, report_scorers) -> list[str]:
         return kept
     if len(kept) < n:
         raise CliError(EXIT_CONFIG,
-                       f"prompt file {path}: only {len(kept)} prompts pass the "
-                       f"bias floor {floor}, need {n}")
+                       f"prompt file {inputs['prompts.path']['path']}: only {len(kept)} "
+                       f"prompts pass the bias floor {floor}, need {n}")
     rng = np.random.default_rng(cfg["prompts"]["seed"])
     idx = rng.permutation(len(kept))[:n]
     return [kept[i] for i in sorted(int(i) for i in idx)]
@@ -348,7 +361,7 @@ def _episode_config(cfg: dict) -> EpisodeConfig:
     return episode_cfg
 
 
-# Episode inputs of the run in progress, built once by cmd_run. Forked --jobs
+# Episode inputs of the run in progress, built once by _run. Forked --jobs
 # workers inherit them, and episodes are independent given the per-prompt
 # seed sequence, so the reduction is a plain index sort.
 _INPUTS = {}
@@ -399,13 +412,8 @@ def _run_pool(items, jobs: int) -> list:
     return results
 
 
-def _artifact(path: Path) -> dict:
-    """Manifest entry for an input, digested when it is loaded."""
-    return {"path": str(path), "digest": file_digest(path)}
-
-
-def cmd_run(args) -> int:
-    cfg = load_config(args.config, RUN_SCHEMA, args.set or ())
+def _run(cfg: dict, jobs: int) -> int:
+    """Run a parsed run config and write its run directory, naming its files."""
     started = time.time()
     sample = cfg["prompts"]["sample"]
     if sample is not None and sample < 1:
@@ -415,15 +423,12 @@ def cmd_run(args) -> int:
         raise CliError(EXIT_CONFIG,
                        f"config key 'failure_fraction_max' must lie in [0, 1], got {bound}")
 
-    model_path = _resolve(cfg, "model")
-    bank_path = _resolve(cfg, "bank")
-    evaluator_path = _resolve(cfg, "evaluator")
-    model = _load("model", ToyLM.load, model_path)
-    bank = _load("safe-bank", SafeBank.load, bank_path)
-    artifacts = {"model": _artifact(model_path), "bank": _artifact(bank_path),
-                 "preconditioner": None}
-    evaluator = _load("model", ToyLM.load, evaluator_path)
-    trigger, report_scorers, cues = _load_scorers(cfg)
+    # every input the run reads, with its digest as loaded
+    artifacts = {"preconditioner": None}
+    model = _read_input(cfg, artifacts, "model", "model", ToyLM.load)
+    bank = _read_input(cfg, artifacts, "bank", "safe-bank", SafeBank.load)
+    evaluator = _read_input(cfg, artifacts, "evaluator", "model", ToyLM.load)
+    trigger, report_scorers, cues = _load_scorers(cfg, artifacts)
 
     episode_cfg = _episode_config(cfg)
 
@@ -431,12 +436,10 @@ def cmd_run(args) -> int:
     if cfg["mode"] == "precond":
         if cfg["preconditioner"] is None:
             raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
-        pre_path = _resolve(cfg, "preconditioner")
-        preconditioner = _load("preconditioner", Preconditioner.load, pre_path,
-                               model=model)
-        artifacts["preconditioner"] = _artifact(pre_path)
+        preconditioner = _read_input(cfg, artifacts, "preconditioner", "preconditioner",
+                                     Preconditioner.load, model=model)
 
-    prompts = _select_prompts(cfg, report_scorers)
+    prompts = _select_prompts(cfg, artifacts, report_scorers)
     if not prompts:
         raise CliError(EXIT_CONFIG, "no prompts pass the bias floor")
 
@@ -446,8 +449,8 @@ def cmd_run(args) -> int:
         master_seed=cfg["master_seed"])
     items = list(enumerate(prompts))
     try:
-        if args.jobs and args.jobs > 1:
-            results = _run_pool(items, args.jobs)
+        if jobs > 1:
+            results = _run_pool(items, jobs)
         else:
             results = []
             for item in items:
@@ -483,15 +486,16 @@ def cmd_run(args) -> int:
             "timing": rec.timing,
         })
 
+    outputs = {"records": "records.jsonl", "metrics": "metrics.json",
+               "summary": "summary.tsv"}
     meta = {"label": label, "mode": cfg["mode"], "config_digest": digest,
             "master_seed": cfg["master_seed"], "tool_version": __version__}
-    save_episodes(out_dir / "records.jsonl", records, meta=meta)
-    write_json(out_dir / "metrics.json", {"kind": "episode-metrics",
-                                           "rows": episode_rows, **meta})
-    if records:
-        summary = aggregate_run(episode_rows)
-        table = summary_table({label: summary})
-        write_text(out_dir / "summary.tsv", f"# config {digest}\n" + table)
+    save_episodes(out_dir / outputs["records"], records, meta=meta)
+    write_json(out_dir / outputs["metrics"], {"kind": "episode-metrics",
+                                              "rows": episode_rows, **meta})
+    # written with no data rows too, so no earlier run's table is left behind
+    summary = {label: aggregate_run(episode_rows)} if records else {}
+    write_text(out_dir / outputs["summary"], f"# config {digest}\n" + summary_table(summary))
 
     manifest = {
         "kind": MANIFEST_KIND,
@@ -502,11 +506,10 @@ def cmd_run(args) -> int:
         "n_prompts": len(prompts),
         "n_episodes": len(records),
         "failures": failures,
-        "outputs": {"records": "records.jsonl", "metrics": "metrics.json",
-                    "summary": "summary.tsv"},
+        "outputs": outputs,
         "wall_clock_seconds": time.time() - started,
     }
-    write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / MANIFEST_FILE, manifest)
 
     frac = len(failures) / len(prompts)
     print(f"{label}: {len(records)} episodes, {len(failures)} failures -> {out_dir}")
@@ -517,39 +520,61 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def load_manifest(path) -> dict:
-    d = read_json(path)
-    check_header(d, MANIFEST_KIND, MANIFEST_VERSION, path)
-    for key in MANIFEST_KEYS:
-        _config_value(d, key)  # a KeyError names the missing key
-    for name, entry in d["artifacts"].items():
-        if entry is None:
-            continue
-        p = Path(entry["path"])
-        if not p.exists():
-            print(f"warning: {path}: artifact {name} at {p} is missing and "
-                  f"could not be verified", file=sys.stderr)
-        elif file_digest(p) != entry["digest"]:
-            raise CliError(EXIT_DIGEST,
-                           f"{path}: artifact {name} at {p} changed since the run")
-    return d
+def cmd_run(args) -> int:
+    return _run(load_config(args.config, RUN_SCHEMA, args.set or ()), args.jobs)
 
 
-def load_metric_rows(path) -> list[dict]:
-    return read_json(path)["rows"]
+def read_run(run_dir) -> tuple[dict, list, list[dict]]:
+    """(manifest, episode records, metric rows) of a run directory, found
+    through the manifest's `outputs` names. An input that changed since the
+    run exits 3 (a missing one warns); a file that cannot be read exits 2."""
+    run_dir = Path(run_dir)
+
+    def manifest(path):
+        man = read_json(path)
+        check_header(man, MANIFEST_KIND, MANIFEST_VERSION, path)
+        for key in MANIFEST_KEYS:
+            if not isinstance(_config_value(man, key), str):  # a KeyError names it
+                raise ValueError(f"manifest key {key!r} is not a string")
+        for name, entry in man["artifacts"].items():
+            if entry is None:
+                continue
+            p = Path(entry["path"])
+            if not p.exists():
+                print(f"warning: {path}: artifact {name} at {p} is missing and "
+                      f"could not be verified", file=sys.stderr)
+            elif file_digest(p) != entry["digest"]:
+                raise CliError(EXIT_DIGEST,
+                               f"{path}: artifact {name} at {p} changed since the run")
+        return man
+
+    man = _load("run manifest", manifest, run_dir / MANIFEST_FILE)
+    _, records = _load("episode-records", load_episodes, run_dir / man["outputs"]["records"])
+    rows = _load("episode-metrics", lambda path: read_json(path)["rows"],
+                 run_dir / man["outputs"]["metrics"])
+    return man, records, rows
+
+
+def _has_episodes(run_dir, man: dict, *outputs) -> bool:
+    """False, after one warning on stderr, for a run whose outputs are empty:
+    `report` and `ablate` leave it out of their tables."""
+    if all(outputs):
+        return True
+    print(f"warning: {run_dir}: run {man['label']} has no episodes; left out",
+          file=sys.stderr)
+    return False
 
 
 # -- ablate ------------------------------------------------------------------------
 
 
-def _ablate_point(args, raw: str, total_tokens: int):
-    """(tag, value, run overrides) for one raw ablate value.
+def _ablate_point(args, raw: str, total_tokens: int, out_root: Path):
+    """(tag, value, run config into `out_root / tag`) for one raw ablate value.
 
     The value goes in as a --set override of the axis's config key, so it is
     typed and validated like any other config value."""
     key = ABLATE_AXES[args.axis]
-    overrides = [*(args.set or ()), f"{key}={raw}"]
-    cfg = load_config(args.config, RUN_SCHEMA, overrides)
+    cfg = load_config(args.config, RUN_SCHEMA, [*(args.set or ()), f"{key}={raw}"])
     _episode_config(cfg)
     value = _config_value(cfg, key)
     if args.axis == "segments":
@@ -558,10 +583,11 @@ def _ablate_point(args, raw: str, total_tokens: int):
             raise CliError(EXIT_CONFIG,
                            f"segments={value} does not divide the total token "
                            f"budget {total_tokens}")
-        overrides.append(f"episode.tokens_per_segment={total_tokens // value}")
-        _episode_config(load_config(args.config, RUN_SCHEMA, overrides))
+        cfg["episode"]["tokens_per_segment"] = total_tokens // value
+        _episode_config(cfg)
     tag = f"{args.axis}={value}"
-    return tag, value, overrides
+    cfg.update(output_dir=str(out_root / tag), label=tag)
+    return tag, value, cfg
 
 
 def cmd_ablate(args) -> int:
@@ -573,42 +599,39 @@ def cmd_ablate(args) -> int:
     total_tokens = (base_cfg["episode"]["k_segments"]
                     * base_cfg["episode"]["tokens_per_segment"])
     # every value is checked before the first run writes anything
-    points = [_ablate_point(args, raw, total_tokens) for raw in raws]
+    points = [_ablate_point(args, raw, total_tokens, out_root) for raw in raws]
     tags = [tag for tag, _, _ in points]
     if len(set(tags)) < len(tags):
         raise CliError(EXIT_CONFIG, f"--values repeats a value: {', '.join(tags)}")
 
-    rows = []
-    for tag, _, overrides in points:
-        sub = argparse.Namespace(config=args.config, jobs=args.jobs,
-                                 set=[*overrides, f"output_dir={out_root / tag}",
-                                      f"label={tag}"])
-        code = cmd_run(sub)
+    rows = {}
+    for tag, _, cfg in points:
+        code = _run(cfg, args.jobs)
         if code != EXIT_OK:
             return code
-        _load("run manifest", load_manifest, out_root / tag / "manifest.json")
-        rows.append((tag, aggregate_run(load_metric_rows(out_root / tag / "metrics.json"))))
+        man, _, point_rows = read_run(cfg["output_dir"])
+        if _has_episodes(cfg["output_dir"], man, point_rows):
+            rows[tag] = aggregate_run(point_rows)
 
-    table = summary_table(dict(rows))
+    table = summary_table(rows)
     lines = [f"# ablate axis={args.axis} values={args.values}"]
 
     if args.axis == "epsilon":
         # frozen-trajectory scoring: one static pass, shared master seed, then
         # trigger rates recomputed per threshold from the fixed segment scores
-        frozen_over = [*(args.set or ()), "mode=static", "label=frozen-static",
-                       f"output_dir={out_root / 'frozen-static'}"]
-        code = cmd_run(argparse.Namespace(config=args.config, set=frozen_over,
-                                          jobs=args.jobs))
+        frozen = load_config(args.config, RUN_SCHEMA, [*(args.set or ()), "mode=static"])
+        frozen.update(output_dir=str(out_root / "frozen-static"), label="frozen-static")
+        code = _run(frozen, args.jobs)
         if code != EXIT_OK:
             return code
-        _, recs = load_episodes(out_root / "frozen-static" / "records.jsonl")
+        man, recs, _ = read_run(frozen["output_dir"])
         scores = [s.trigger_score for rec in recs for s in rec.segments
                   if s.trigger_score is not None]
-        eps_sorted = sorted(value for _, value, _ in points)
-        curve = trigger_curve(scores, eps_sorted)
-        total = len(scores)
-        lines.append("# frozen_trigger_rate: " + " ".join(
-            f"{e:g}:{c / total:.6f}" for e, c in zip(eps_sorted, curve)))
+        if _has_episodes(frozen["output_dir"], man, scores):
+            eps_sorted = sorted(value for _, value, _ in points)
+            curve = trigger_curve(scores, eps_sorted)
+            lines.append("# frozen_trigger_rate: " + " ".join(
+                f"{e:g}:{c / len(scores):.6f}" for e, c in zip(eps_sorted, curve)))
 
     write_text(out_root / "ablate.tsv", "\n".join(lines) + "\n" + table)
     print(f"ablate table -> {out_root / 'ablate.tsv'}")
@@ -715,22 +738,17 @@ def cmd_report(args) -> int:
         raise CliError(EXIT_CONFIG, f"records dir not found: {root}")
     out_dir = Path(args.out) if args.out else root / "report"
 
-    manifest_paths = sorted(root.glob("*/manifest.json"))
-    if (root / "manifest.json").exists():
-        manifest_paths.insert(0, root / "manifest.json")
+    run_dirs = [root] if (root / MANIFEST_FILE).exists() else []
+    run_dirs += [mp.parent for mp in sorted(root.glob(f"*/{MANIFEST_FILE}"))]
     runs = []
-    for mp in manifest_paths:
-        man = _load("run manifest", load_manifest, mp)
-        base = mp.parent
-        _, records = _load("episode-records", load_episodes,
-                           base / man["outputs"]["records"])
-        rows = _load("episode-metrics", load_metric_rows,
-                     base / man["outputs"]["metrics"])
-        runs.append({"label": man["label"], "manifest": man,
-                     "records": records, "rows": rows})
+    for run_dir in run_dirs:
+        man, records, rows = read_run(run_dir)
+        if _has_episodes(run_dir, man, records, rows):
+            runs.append({"label": man["label"], "manifest": man,
+                         "records": records, "rows": rows})
 
     if not runs:
-        print(f"warning: no run manifests under {root}; writing empty tables",
+        print(f"warning: no run manifests with episodes under {root}; writing empty tables",
               file=sys.stderr)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_text(out_dir / "summary.tsv", "# no runs\n")
@@ -741,11 +759,8 @@ def cmd_report(args) -> int:
         raise CliError(EXIT_CONFIG, f"duplicate run labels in {root}: {labels}")
 
     # runs are only comparable against the same frozen artifacts
-    def artifact_key(man):
-        arts = man["artifacts"]
-        return (arts["model"]["digest"], arts["bank"]["digest"])
-
-    keys = {artifact_key(r["manifest"]) for r in runs}
+    keys = {tuple(r["manifest"]["artifacts"][a]["digest"] for a in ("model", "bank"))
+            for r in runs}
     if len(keys) > 1 and not args.force:
         raise CliError(EXIT_DIGEST,
                        "records dir mixes runs over different model/bank artifacts; "

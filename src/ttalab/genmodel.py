@@ -180,8 +180,8 @@ class GenerationSettings:
     tokens_per_segment: int = 128
 
     def validate(self) -> None:
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must lie in (0, 1]")
         if self.tokens_per_segment < 1:

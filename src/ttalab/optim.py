@@ -33,14 +33,14 @@ class UpdateRuleConfig:
     def validate(self) -> None:
         if self.kind not in _DEFAULT_LR:
             raise ValueError(f"unknown update kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.clip_coef <= 0 or self.max_delta_norm <= 0:
-            raise ValueError("clip_coef and max_delta_norm must be > 0")
-        if self.lambda_reg < 0:
-            raise ValueError("lambda_reg must be >= 0")
+        for name, value in (("learning_rate", self.lr), ("clip_coef", self.clip_coef),
+                            ("max_delta_norm", self.max_delta_norm)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.lambda_reg) and self.lambda_reg >= 0):
+            raise ValueError(f"lambda_reg must be finite and >= 0, got {self.lambda_reg}")
 
     @property
     def lr(self) -> float:

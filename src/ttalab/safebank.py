@@ -4,7 +4,9 @@ Typed entries are grouped under the four routing types, filtered at ingest
 to the safe set (score at or below `SAFE_FILTER`) and capped per type; the
 generic corpus is the uncapped-by-type fallback tier. Banks are immutable
 after ingest and stored in canonical (type, text) order so that
-re-ingesting a persisted bank reproduces it byte for byte.
+re-ingesting a persisted bank reproduces it byte for byte. `load` checks
+typed entries against the same `SAFE_FILTER` and refuses a bank whose
+header names another filter.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ class SafeBank:
     def load(cls, path) -> "SafeBank":
         header, records = read_jsonl(path)
         check_header(header, BANK_KIND, BANK_VERSION, path)
-        threshold = header.get("filter", SAFE_FILTER)
+        if header.get("filter", SAFE_FILTER) != SAFE_FILTER:
+            raise ValueError(f"{path}: bank filter {header['filter']!r} is not the "
+                             f"ingest filter {SAFE_FILTER}")
         entries: dict[str, list[SafeEntry]] = {t: [] for t in TYPE_ORDER}
         generic: list[SafeEntry] = []
         for rec in records:
@@ -82,14 +86,14 @@ class SafeBank:
             if entry.type not in TYPE_ORDER:
                 raise ValueError(f"{path}: unknown entry type {entry.type!r}")
             try:
-                safe = is_safe(entry.score, threshold)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: typed entry {entry.text!r}, score {entry.score}, "
-                                 f"filter {threshold!r}: {exc}") from None
+                safe = is_safe(entry.score, SAFE_FILTER)
+            except ValueError as exc:
+                raise ValueError(f"{path}: typed entry {entry.text!r}, score {entry.score}: "
+                                 f"{exc}") from None
             if not safe:
                 raise ValueError(
                     f"{path}: typed entry violates ingest filter "
-                    f"({entry.score} > {threshold}): {entry.text!r}")
+                    f"({entry.score} > {SAFE_FILTER}): {entry.text!r}")
             entries[entry.type].append(entry)
         meta = {k: v for k, v in header.items()
                 if k not in ("kind", "format_version", "counts")}

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .artifacts import write_text
+from .artifacts import read_text, write_text
 
 TYPE_ORDER = ("race", "sex", "religion", "other")
 # the types a cue lexicon gates; `other` always carries the committee mean
@@ -83,7 +83,7 @@ def save_lexicon(path, terms: dict[str, float]) -> None:
 def load_lexicon(path, scorer_id: str | None = None) -> LexiconScorer:
     """Parse a `term<TAB>weight` file; `#` starts a comment line."""
     terms: dict[str, float] = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

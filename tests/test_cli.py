@@ -349,6 +349,44 @@ def test_manifest_digests_inputs_as_loaded(ws, tmp_path, monkeypatch):
     assert man["artifacts"]["bank"]["digest"] == loaded
 
 
+def test_manifest_digests_every_input(ws, runs):
+    lex = SCENARIO_FILES["lexicons"]
+    inputs = {"model": SCENARIO_FILES["model"], "bank": SCENARIO_FILES["bank"],
+              "evaluator": SCENARIO_FILES["evaluator"], "preconditioner": "precond.json",
+              "prompts.path": "scenario/prompts.txt",
+              **{f"lexicons.{role}.{i}": p for role in ("trigger", "report")
+                 for i, p in enumerate(lex[role])},
+              **{f"lexicons.cue.{t}": p for t, p in lex["cue"].items()}}
+    man = json.loads((runs["precond"] / "manifest.json").read_text())
+    assert {k: v["path"] for k, v in man["artifacts"].items()} == {
+        k: str(ws.resolve() / p) for k, p in inputs.items()}
+    for entry in man["artifacts"].values():
+        assert entry["digest"] == cli.file_digest(entry["path"])
+    static = json.loads((runs["static"] / "manifest.json").read_text())
+    assert static["artifacts"]["preconditioner"] is None
+    assert static["artifacts"].keys() == man["artifacts"].keys()
+
+
+def test_report_refuses_a_run_whose_input_changed(ws, tmp_path, capsys):
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    shutil.copy(ws / "precond.json", tmp_path / "precond.json")
+    _write_json(tmp_path / "run.json", _run_config("runs/precond"))
+    assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 0
+    assert cli.main(["report", str(tmp_path / "runs")]) == 0
+    for key, name in [("lexicons.trigger.0", "scenario/trigger_0.tsv"),
+                      ("lexicons.report.2", "scenario/report_2.tsv"),
+                      ("lexicons.cue.race", "scenario/cue_race.tsv"),
+                      ("evaluator", "scenario/evaluator.json"),
+                      ("prompts.path", "scenario/prompts.txt")]:
+        path = tmp_path / name
+        kept = path.read_bytes()
+        path.write_bytes(kept + b"\n")
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path / "runs")]) == 3, key
+        assert f"artifact {key} at {path} changed since the run" in capsys.readouterr().err
+        path.write_bytes(kept)
+
+
 def test_modes_share_segment_zero(runs):
     texts = {}
     for mode, out in runs.items():
@@ -621,22 +659,39 @@ def test_sample_larger_than_prompt_pool(ws, tmp_path):
                      "--set", "prompts.sample=999"]) == 2
 
 
+def _refuse_episode(*args, **kwargs):
+    raise AssertionError("the config should have been refused before any episode")
+
+
 @pytest.mark.parametrize("key, value", [
     ("prompts.sample", "-3"), ("prompts.sample", "0"),
     ("failure_fraction_max", "-1"), ("failure_fraction_max", "1.5"),
     ("failure_fraction_max", "NaN"),
+    ("update.learning_rate", "NaN"), ("update.learning_rate", "Infinity"),
+    ("update.clip_coef", "NaN"), ("update.max_delta_norm", "NaN"),
+    ("update.lambda_reg", "NaN"), ("episode.temperature", "NaN"),
 ])
 def test_run_refuses_bad_limits_before_any_episode(ws, tmp_path, capsys, monkeypatch,
                                                    key, value):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the config should have been refused before any episode")
-
-    monkeypatch.setattr(cli, "run_episode", refuse)
+    monkeypatch.setattr(cli, "run_episode", _refuse_episode)
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
                      "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"'{key}'" in err
+    section, _, name = key.rpartition(".")
+    # the update and episode validators name a field within its section
+    named = f"{name} must be finite" if section in ("update", "episode") else f"'{key}'"
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ablate_refuses_a_non_finite_value_before_any_episode(ws, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(cli, "run_episode", _refuse_episode)
+    assert cli.main(["ablate", "--config", str(ws / "run.json"), "--axis", "epsilon",
+                     "--values", "0.2", "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", "update.learning_rate=NaN"]) == 2
+    assert "learning_rate must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -662,6 +717,32 @@ def test_module_entry_point(tmp_path):
     helped = module("--help")
     assert helped.returncode == 0 and "usage" in helped.stdout
     assert module("run", "--config", str(tmp_path / "missing.json")).returncode == 2
+
+
+def test_inputs_are_read_as_utf8_whatever_the_locale(ws, tmp_path):
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    shutil.copy(ws / "precond.json", tmp_path / "precond.json")
+    prompts = tmp_path / "scenario" / "prompts.txt"
+    lines = prompts.read_text().splitlines()
+    prompts.write_text("\n".join([lines[0] + " café", *lines[1:]]) + "\n", encoding="utf-8")
+    lexicon = tmp_path / "scenario" / "trigger_0.tsv"
+    lexicon.write_text(lexicon.read_text() + "naïve\t0.5\n", encoding="utf-8")
+    _write_json(tmp_path / "run.json", _run_config(
+        "out", prompts={"path": "scenario/prompts.txt", "min_bias": 0.4, "sample": None,
+                        "seed": 0},
+        episode={"k_segments": 1, "tokens_per_segment": 4, "epsilon": 0.3, "safe_batch": 2},
+        update={"steps": 1}))
+    records = []
+    for name, env in [("default", {}),
+                      ("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})]:
+        done = subprocess.run(
+            [sys.executable, "-m", "ttalab.cli", "run", "--config", str(tmp_path / "run.json"),
+             "--set", f"output_dir={name}"],
+            env=_fresh_interpreter_env(**env), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (name, done.stderr)
+        records.append(_strip_timing(_read_records(tmp_path / name / "records.jsonl")[1]))
+    assert records[0] == records[1]
+    assert any(rec["prompt"].endswith(" café") for rec in records[0])
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -783,6 +864,50 @@ def test_failure_fraction_within_bound(ws, tmp_path, monkeypatch):
     assert code == 0
 
 
+def _failing_episode(*args, **kwargs):
+    raise RuntimeError("synthetic episode failure")
+
+
+def test_zero_episode_rerun_replaces_the_summary(ws, runs, tmp_path, monkeypatch):
+    out = tmp_path / "used"
+    shutil.copytree(runs["static"], out)
+    monkeypatch.setattr(cli, "run_episode", _failing_episode)
+    assert cli.main(["run", "--config", str(ws / "run.json"), "--set", "mode=static",
+                     "--set", f"output_dir={out}",
+                     "--set", "failure_fraction_max=1.0"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["n_episodes"] == 0 and len(man["failures"]) == man["n_prompts"]
+    summary = (out / man["outputs"]["summary"]).read_text().splitlines()
+    assert summary[0] == f"# config {man['config_digest']}"
+    assert len(summary) == 2 and summary[1].startswith("system\t")
+
+
+def test_report_and_ablate_leave_out_a_run_with_no_episodes(ws, runs, tmp_path, capsys,
+                                                            monkeypatch):
+    root = tmp_path / "mixed"
+    shutil.copytree(runs["precond"], root / "a")
+    monkeypatch.setattr(cli, "run_episode", _failing_episode)
+    assert cli.main(["run", "--config", str(ws / "run.json"), "--set", "label=empty",
+                     "--set", f"output_dir={root / 'b'}",
+                     "--set", "failure_fraction_max=1.0"]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", str(root)]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if "warning" in ln]
+    assert warnings == [f"warning: {root / 'b'}: run empty has no episodes; left out"]
+    summary = (root / "report" / "summary.tsv").read_text().splitlines()
+    assert [ln.split("\t")[0] for ln in summary[2:]] == ["precond"]
+
+    out = tmp_path / "ablate"
+    assert cli.main(["ablate", "--config", str(ws / "run.json"), "--axis", "epsilon",
+                     "--values", "0.2,0.5", "--set", f"output_dir={out}",
+                     "--set", "failure_fraction_max=1.0"]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if "warning" in ln]
+    assert len(warnings) == 3 and f"{out / 'frozen-static'}: run frozen-static" in warnings[2]
+    lines = (out / "ablate.tsv").read_text().splitlines()
+    assert lines[0].startswith("# ablate") and lines[1].startswith("system\t")
+    assert len(lines) == 2
+
+
 # -- ablate ---------------------------------------------------------------------
 
 
@@ -816,6 +941,46 @@ def test_ablate_segments_divisibility_error(ws):
                      "--axis", "segments", "--values", "5",
                      "--set", "output_dir=ablate_bad"])
     assert code == 2
+
+
+@pytest.mark.parametrize("axis, values, parses", [
+    ("epsilon", "0.2,0.5", 4),  # the base, one per value, the frozen pass
+    ("segments", "2,4", 3),
+])
+def test_ablate_parses_the_config_once_per_value(ws, tmp_path, monkeypatch, axis, values,
+                                                 parses):
+    calls = []
+    real = cli.load_config
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_config", counted)
+    assert cli.main(["ablate", "--config", str(ws / "run.json"), "--axis", axis,
+                     "--values", values, "--set", f"output_dir={tmp_path / 'a'}"]) == 0
+    assert len(calls) == parses
+
+
+def test_ablate_point_is_the_run_its_overrides_name(ws, tmp_path):
+    point = tmp_path / "a" / "segments=2"
+    assert cli.main(["ablate", "--config", str(ws / "run.json"), "--axis", "segments",
+                     "--values", "2", "--set", f"output_dir={tmp_path / 'a'}"]) == 0
+    ablated = json.loads((point / "manifest.json").read_text())
+    _, ablated_recs = _read_records(point / "records.jsonl")
+    assert cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", "episode.k_segments=2", "--set", "episode.tokens_per_segment=18",
+                     "--set", f"output_dir={point}", "--set", "label=segments=2"]) == 0
+    rerun = json.loads((point / "manifest.json").read_text())
+    _, rerun_recs = _read_records(point / "records.jsonl")
+    assert rerun["config_digest"] == ablated["config_digest"]
+    assert _strip_timing(rerun_recs) == _strip_timing(ablated_recs)
+
+
+def test_run_directory_file_names_live_in_the_writer():
+    source = inspect.getsource(cli)
+    for name in ("records.jsonl", "metrics.json"):
+        assert source.count(name) == 1 and name in inspect.getsource(cli._run)
 
 
 @pytest.mark.parametrize("axis,values", [

@@ -285,6 +285,9 @@ def test_settings_validation():
         GenerationSettings(top_p=0.0).validate()
     with pytest.raises(ValueError):
         GenerationSettings(top_p=1.2).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            GenerationSettings(temperature=bad).validate()
 
 
 # -- adapter gradient -----------------------------------------------------------

@@ -240,3 +240,8 @@ def test_config_validation():
         UpdateRuleConfig(steps=0).validate()
     with pytest.raises(ValueError):
         UpdateRuleConfig(max_delta_norm=0.0).validate()
+    for bad in [{"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                {"clip_coef": float("nan")}, {"max_delta_norm": float("nan")},
+                {"lambda_reg": float("nan")}]:
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be finite"):
+            UpdateRuleConfig(**bad).validate()

@@ -190,11 +190,14 @@ def test_load_rejects_filter_violation(tmp_path):
         SafeBank.load(path)
 
 
-@pytest.mark.parametrize("line, old, new", [
-    (1, '"score":0.0', '"score":-0.5'),   # a typed entry below the score range
-    (0, '"filter":0.2', '"filter":1.5'),  # a header filter above it
-], ids=["entry-score", "header-filter"])
-def test_load_applies_the_safe_set_range(tmp_path, line, old, new):
+@pytest.mark.parametrize("line, old, new, named", [
+    # a typed entry below the score range
+    (1, '"score":0.0', '"score":-0.5', "'fine text 0'"),
+    # a header filter other than SAFE_FILTER: above the range, or within it
+    (0, '"filter":0.2', '"filter":1.5', "bank filter 1.5"),
+    (0, '"filter":0.2', '"filter":0.9', "bank filter 0.9"),
+], ids=["entry-score", "header-filter", "header-filter-in-range"])
+def test_load_applies_the_safe_set_range(tmp_path, line, old, new, named):
     bank, _ = lexicon_bank()
     path = tmp_path / "bank.jsonl"
     bank.save(path)
@@ -204,7 +207,7 @@ def test_load_applies_the_safe_set_range(tmp_path, line, old, new):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         SafeBank.load(path)
-    assert str(path) in str(err.value) and "'fine text 0'" in str(err.value)
+    assert str(path) in str(err.value) and named in str(err.value)
 
 
 def test_load_rejects_wrong_kind(tmp_path):
