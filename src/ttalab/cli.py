@@ -1,8 +1,13 @@
 """Command-line front end: precompute / run / ablate / ood / report.
 
 Every run is driven by a strict JSON config (unknown keys are errors, every
-hyperparameter is a named key) plus repeatable --set dotted overrides. A
-(config digest, master seed) pair determines every output byte except the
+hyperparameter is a named key) plus repeatable --set dotted overrides. Each
+config rule has one home: a schema leaf written here carries its closed
+range beside its type, and a leaf read from a library signature or
+dataclass (`_signature_schema`) takes its range from that library's
+validator, which the command calls before it reads any input.
+
+A (config digest, master seed) pair determines every output byte except the
 wall-clock fields: `timing` in each episode record and metric row,
 `update_time_mean`/`test_time_mean` in summary.tsv, and
 `wall_clock_seconds` in manifest.json. That holds on any core count for one
@@ -17,7 +22,7 @@ be read, 3 artifact digest error, 4 episode failure fraction exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import multiprocessing
 import sys
@@ -80,31 +85,29 @@ class CliError(RuntimeError):
 REQUIRED = object()
 
 
-def _dataclass_schema(cls) -> dict:
-    """(type, default) per field of `cls`, `X | None` read as X, leaving out
-    the fields that the run config's `mode` sets."""
-    hints = typing.get_type_hints(cls)
+def _signature_schema(fn, skip=()) -> dict:
+    """(type, default) per defaulted parameter of `fn`, a function or a
+    dataclass, `X | None` read as X, leaving out the names in `skip`. Their
+    ranges belong to the library's validator, which the command calls."""
     schema = {}
-    for f in dataclasses.fields(cls):
-        if f.name in ("update", "adapt", "kind"):
+    for name, param in inspect.signature(fn, eval_str=True).parameters.items():
+        if param.default is param.empty or name in skip:
             continue
-        typ = hints[f.name]
+        typ = param.annotation
         if type(None) in typing.get_args(typ):
             (typ,) = (a for a in typing.get_args(typ) if a is not type(None))
-        schema[f.name] = (typ, f.default)
+        schema[name] = (typ, param.default)
     return schema
 
 
+# A leaf written here is (type, default) or (type, default, closed range).
 PRECOMPUTE_SCHEMA = {
     "model": (str, REQUIRED),
     "corpus": (str, REQUIRED),
     "output": (str, REQUIRED),
-    "n_steps": (int, 10),
-    "batch_size": (int, 2),
-    "damping": (float, 1e-4),
-    "continuation_tokens": (int, 128),
-    "seed": (int, 0),
-    "empirical": (bool, False),
+    # checked by precond.sampling_settings and precond.check_damping
+    **_signature_schema(estimate_diag_fisher),
+    **_signature_schema(build_preconditioner),
 }
 
 RUN_SCHEMA = {
@@ -114,9 +117,9 @@ RUN_SCHEMA = {
     "preconditioner": (str, None),
     "mode": (str, "precond"),
     "label": (str, None),
-    "master_seed": (int, 0),
+    "master_seed": (int, 0, (0, np.inf)),
     "output_dir": (str, REQUIRED),
-    "failure_fraction_max": (float, 0.0),
+    "failure_fraction_max": (float, 0.0, (0.0, 1.0)),
     "lexicons": {
         "trigger": (list, REQUIRED),
         "report": (list, REQUIRED),
@@ -124,12 +127,14 @@ RUN_SCHEMA = {
     },
     "prompts": {
         "path": (str, REQUIRED),
-        "min_bias": (float, 0.4),
-        "sample": (int, None),
-        "seed": (int, 0),
+        # the committee score range
+        "min_bias": (float, 0.4, (0.0, 1.0)),
+        "sample": (int, None, (1, np.inf)),
+        "seed": (int, 0, (0, np.inf)),
     },
-    "episode": _dataclass_schema(EpisodeConfig),
-    "update": _dataclass_schema(UpdateRuleConfig),
+    # checked by EpisodeConfig.validate, less the fields that `mode` sets
+    "episode": _signature_schema(EpisodeConfig, skip=("update", "adapt")),
+    "update": _signature_schema(UpdateRuleConfig, skip=("kind",)),
 }
 
 OOD_SCHEMA = {
@@ -139,9 +144,10 @@ OOD_SCHEMA = {
     "id": {"texts": (str, None), "embeddings": (str, None)},
     "ood": {"texts": (str, None), "embeddings": (str, None)},
     "detectors": (list, ["knn", "mahalanobis"]),
-    "k": (int, 10),
-    "bootstrap": (int, 1000),
-    "seed": (int, 0),
+    # its upper bound, the reference set's size, is checked in cmd_ood
+    "k": (int, 10, (1, np.inf)),
+    "bootstrap": (int, 1000, (0, np.inf)),
+    "seed": (int, 0, (0, np.inf)),
     "output_dir": (str, REQUIRED),
 }
 
@@ -158,7 +164,7 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
         if isinstance(spec, dict):
             out[key] = _apply_schema(raw.get(key, {}), spec, sub_path)
             continue
-        typ, default = spec
+        typ, default, *bounds = spec
         if key in raw:
             value = raw[key]
         elif default is REQUIRED:
@@ -175,6 +181,9 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
                 raise CliError(EXIT_CONFIG,
                                f"config key {path + key!r} must be {typ.__name__}, "
                                f"got {type(value).__name__}")
+            if bounds and not bounds[0][0] <= value <= bounds[0][1]:  # NaN fails too
+                raise CliError(EXIT_CONFIG, f"config key {path + key!r} must lie in "
+                                            f"{list(bounds[0])}, got {value}")
         out[key] = value
     return out
 
@@ -260,7 +269,8 @@ def cmd_precompute(args) -> int:
     Every config value is checked before the estimate starts."""
     cfg = load_config(args.config, PRECOMPUTE_SCHEMA, args.set or ())
     try:
-        sampling_settings(cfg["n_steps"], cfg["batch_size"], cfg["continuation_tokens"])
+        sampling_settings(cfg["n_steps"], cfg["batch_size"], cfg["seed"],
+                          cfg["continuation_tokens"])
         check_damping(cfg["damping"])
     except (EstimationError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid precompute config: {exc}")
@@ -387,14 +397,16 @@ def _progress(results: list, total: int) -> None:
 
 
 def _run_pool(items, jobs: int) -> list:
-    """`_run_one` over `items` in `jobs` forked workers, in item order; each
-    episode a dead worker leaves unfinished is a failure, not a hang."""
+    """`_run_one` over `items` in min(jobs, len(items)) forked workers (the
+    pool forks all of them at its first submit), in item order; each episode
+    a dead worker leaves unfinished is a failure, not a hang."""
     # imported here, off the start-up path of serial runs
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     results = []
-    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork")) as pool:
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(jobs, len(items)), mp_context=fork) as pool:
         futures = []
         for item in items:
             try:
@@ -415,13 +427,10 @@ def _run_pool(items, jobs: int) -> list:
 def _run(cfg: dict, jobs: int) -> int:
     """Run a parsed run config and write its run directory, naming its files."""
     started = time.time()
-    sample = cfg["prompts"]["sample"]
-    if sample is not None and sample < 1:
-        raise CliError(EXIT_CONFIG, f"config key 'prompts.sample' must be >= 1, got {sample}")
-    bound = cfg["failure_fraction_max"]
-    if not 0.0 <= bound <= 1.0:
-        raise CliError(EXIT_CONFIG,
-                       f"config key 'failure_fraction_max' must lie in [0, 1], got {bound}")
+    # the episode config is checked before the first input is read
+    episode_cfg = _episode_config(cfg)
+    if cfg["mode"] == "precond" and cfg["preconditioner"] is None:
+        raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
 
     # every input the run reads, with its digest as loaded
     artifacts = {"preconditioner": None}
@@ -430,12 +439,8 @@ def _run(cfg: dict, jobs: int) -> int:
     evaluator = _read_input(cfg, artifacts, "evaluator", "model", ToyLM.load)
     trigger, report_scorers, cues = _load_scorers(cfg, artifacts)
 
-    episode_cfg = _episode_config(cfg)
-
     preconditioner = None
     if cfg["mode"] == "precond":
-        if cfg["preconditioner"] is None:
-            raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
         preconditioner = _read_input(cfg, artifacts, "preconditioner", "preconditioner",
                                      Preconditioner.load, model=model)
 
@@ -670,6 +675,9 @@ def cmd_ood(args) -> int:
     bad = [d for d in cfg["detectors"] if d not in known]
     if bad:
         raise CliError(EXIT_CONFIG, f"unknown detectors {bad}; choose from {known}")
+    if not cfg["detectors"] or len(set(cfg["detectors"])) < len(cfg["detectors"]):
+        raise CliError(EXIT_CONFIG, "config key 'detectors' must name each detector "
+                                    f"once, got {cfg['detectors']}")
     if "llr" in cfg["detectors"]:
         if cfg["model"] is None or cfg["background_model"] is None:
             raise CliError(EXIT_CONFIG, "detector llr needs model and background_model")
@@ -681,14 +689,11 @@ def cmd_ood(args) -> int:
     reference, _ = _embedding_set(cfg, "reference", model, "reference")
     id_set, id_texts = _embedding_set(cfg, "id", model, "id")
     ood_set, ood_texts = _embedding_set(cfg, "ood", model, "ood")
-    if "knn" in cfg["detectors"] and not 1 <= cfg["k"] <= len(reference):
+    if "knn" in cfg["detectors"] and cfg["k"] > len(reference):
         raise CliError(EXIT_CONFIG, f"k={cfg['k']} out of range for a reference set "
                                     f"of {len(reference)} vectors")
-    out_dir = _resolve(cfg, "output_dir", must_exist=False)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, es in (("reference", reference), ("id", id_set), ("ood", ood_set)):
-        es.save(out_dir / f"{name}.emb.txt")
 
+    # every detector is scored before the first file is written
     results = []
     for det in cfg["detectors"]:
         if det == "knn":
@@ -698,16 +703,23 @@ def cmd_ood(args) -> int:
                              for v in id_set.vectors])
         elif det == "mahalanobis":
             mu, sigma = oodmod.fit_gaussian(reference.vectors)
-            s_ood = np.array([oodmod.mahalanobis_score(v, mu, sigma)
-                              for v in ood_set.vectors])
-            s_id = np.array([oodmod.mahalanobis_score(v, mu, sigma)
-                             for v in id_set.vectors])
+            try:
+                s_ood = np.array([oodmod.mahalanobis_score(v, mu, sigma)
+                                  for v in ood_set.vectors])
+                s_id = np.array([oodmod.mahalanobis_score(v, mu, sigma)
+                                 for v in id_set.vectors])
+            except np.linalg.LinAlgError as exc:
+                raise CliError(EXIT_CONFIG, f"ood config section 'reference': {exc}")
         else:
             s_id = np.array([oodmod.llr_score(t, model, bg) for t in id_texts])
             s_ood = np.array([oodmod.llr_score(t, model, bg) for t in ood_texts])
         results.append(oodmod.evaluate(s_ood, s_id, bootstrap_n=cfg["bootstrap"],
                                        seed=cfg["seed"], detector=det))
 
+    out_dir = _resolve(cfg, "output_dir", must_exist=False)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, es in (("reference", reference), ("id", id_set), ("ood", ood_set)):
+        es.save(out_dir / f"{name}.emb.txt")
     header = ("detector", "auroc", "ci_low", "ci_high", "aupr", "far_ood",
               "n_ood", "n_id")
     lines = ["\t".join(header)]
@@ -830,6 +842,13 @@ def cmd_report(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def _worker_count(text: str) -> int:
+    """A --jobs value: an integer >= 1; argparse exits 2 on anything else."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttalab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -847,7 +866,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run episodes over a prompt set")
     add_config_args(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    p.add_argument("--jobs", type=_worker_count, default=1,
+                   help="parallel worker count")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="sweep one config axis")
@@ -855,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=ABLATE_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_worker_count, default=1)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("ood", help="run embedding-based OOD detectors")

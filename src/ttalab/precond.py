@@ -56,14 +56,16 @@ def corpus_digest(corpus) -> str:
                        for item in corpus])
 
 
-def sampling_settings(n_steps: int, batch_size: int,
+def sampling_settings(n_steps: int, batch_size: int, seed: int,
                       continuation_tokens: int) -> GenerationSettings:
     """The settings an estimate draws its continuations with, after the
-    estimate's own checks: EstimationError on a step or batch count below 1,
-    ValueError on a continuation length that GenerationSettings refuses."""
-    for name, value in (("n_steps", n_steps), ("batch_size", batch_size)):
-        if value < 1:
-            raise EstimationError(f"{name} must be >= 1, got {value}")
+    estimate's own checks: EstimationError on a step or batch count below 1
+    or a negative seed, ValueError on a continuation length that
+    GenerationSettings refuses."""
+    for name, value, least in (("n_steps", n_steps, 1), ("batch_size", batch_size, 1),
+                               ("seed", seed, 0)):
+        if value < least:
+            raise EstimationError(f"{name} must be >= {least}, got {value}")
     settings = GenerationSettings(temperature=1.0, top_p=1.0,
                                   tokens_per_segment=continuation_tokens)
     try:
@@ -104,7 +106,7 @@ def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
     corpus = list(corpus)
     if not corpus:
         raise EstimationError("cannot estimate Fisher on an empty corpus")
-    settings = sampling_settings(n_steps, batch_size, continuation_tokens)
+    settings = sampling_settings(n_steps, batch_size, seed, continuation_tokens)
 
     acc = KahanSum(model.param_count)
     count = 0

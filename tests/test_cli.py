@@ -5,6 +5,7 @@ scenario directory, so the tests double as a contract for the exit codes
 (0 ok, 2 config, 3 digest, 4 failures) and the on-disk artifact layout.
 """
 
+import concurrent.futures
 import inspect
 import json
 import os
@@ -24,7 +25,7 @@ from ttalab import _blas, artifacts, cli, toydata
 from ttalab.artifacts import decode_array, encode_array
 from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
-from ttalab.precond import Preconditioner, build_preconditioner, estimate_diag_fisher
+from ttalab.precond import Preconditioner
 from ttalab.safebank import SafeBank
 from ttalab.tta import EpisodeConfig, load_episodes
 
@@ -161,7 +162,7 @@ def _refuse_estimate(*args, **kwargs):
 
 @pytest.mark.parametrize("key, value", [
     ("n_steps", "0"), ("batch_size", "0"), ("batch_size", "-2"),
-    ("continuation_tokens", "0"), ("damping", "0"),
+    ("continuation_tokens", "0"), ("damping", "0"), ("seed", "-1"),
 ])
 def test_precompute_refuses_bad_config_before_estimating(ws, tmp_path, capsys,
                                                          monkeypatch, key, value):
@@ -242,6 +243,33 @@ def test_run_deterministic_modulo_timing(ws, runs, tmp_path):
     h1.pop("config_digest"), h2.pop("config_digest")
     assert h1 == h2
     assert _strip_timing(r1) == _strip_timing(r2)
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "x"])
+def test_jobs_below_one_is_config_error(ws, tmp_path, capsys, command, jobs):
+    axis = ["--axis", "epsilon", "--values", "0.2"] if command == "ablate" else []
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--config", str(ws / "run.json"), *axis,
+                  "--set", f"output_dir={tmp_path / 'o'}", "--jobs", jobs])
+    assert exited.value.code == 2
+    assert "error: argument --jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pool_forks_no_more_workers_than_episodes(ws, tmp_path, monkeypatch):
+    sizes = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    assert cli.main(["run", "--config", str(ws / "run.json"), "--jobs", "3",
+                     "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", "prompts.sample=2"]) == 0
+    assert sizes == [2]
 
 
 def test_run_jobs_parity(ws, runs, tmp_path):
@@ -591,14 +619,6 @@ def test_cli_defaults_are_library_defaults(tmp_path):
         update=UpdateRuleConfig(kind="precond"))
 
 
-def test_precompute_defaults_are_library_defaults():
-    library = {**inspect.signature(estimate_diag_fisher).parameters,
-               **inspect.signature(build_preconditioner).parameters}
-    defaults = {key: default for key, (_, default) in cli.PRECOMPUTE_SCHEMA.items()
-                if default is not cli.REQUIRED}
-    assert defaults == {key: library[key].default for key in defaults}
-
-
 def test_missing_required_key(ws, tmp_path):
     bad = _run_config(str(tmp_path / "o"))
     del bad["bank"]
@@ -663,10 +683,16 @@ def _refuse_episode(*args, **kwargs):
     raise AssertionError("the config should have been refused before any episode")
 
 
+def _refuse_input(*args, **kwargs):
+    raise AssertionError("the config should have been refused before any input was read")
+
+
 @pytest.mark.parametrize("key, value", [
     ("prompts.sample", "-3"), ("prompts.sample", "0"),
     ("failure_fraction_max", "-1"), ("failure_fraction_max", "1.5"),
     ("failure_fraction_max", "NaN"),
+    ("master_seed", "-1"), ("prompts.seed", "-1"),
+    ("prompts.min_bias", "-5"), ("prompts.min_bias", "1.5"), ("prompts.min_bias", "NaN"),
     ("update.learning_rate", "NaN"), ("update.learning_rate", "Infinity"),
     ("update.clip_coef", "NaN"), ("update.max_delta_norm", "NaN"),
     ("update.lambda_reg", "NaN"), ("episode.temperature", "NaN"),
@@ -674,6 +700,7 @@ def _refuse_episode(*args, **kwargs):
 def test_run_refuses_bad_limits_before_any_episode(ws, tmp_path, capsys, monkeypatch,
                                                    key, value):
     monkeypatch.setattr(cli, "run_episode", _refuse_episode)
+    monkeypatch.setattr(cli, "_read_input", _refuse_input)
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
                      "--set", f"{key}={value}"]) == 2
@@ -1082,6 +1109,32 @@ def test_ood_unknown_detector(ood_ws, tmp_path):
                      "--set", f"output_dir={tmp_path / 'o'}"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", "-1"), ("bootstrap", "-1"), ("k", "0"),
+    ("detectors", "[]"), ("detectors", '["knn", "knn"]'),
+])
+def test_ood_refuses_bad_values_before_any_input(ood_ws, tmp_path, capsys, monkeypatch,
+                                                 key, value):
+    monkeypatch.setattr(cli, "_load", _refuse_input)
+    assert cli.main(["ood", "--config", str(ood_ws / "ood.json"),
+                     "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ood_singular_reference_is_config_error(ood_ws, tmp_path, capsys):
+    line = (ood_ws / "ref.txt").read_text().splitlines()[0]
+    (tmp_path / "same.txt").write_text(f"{line}\n" * 3)
+    assert cli.main(["ood", "--config", str(ood_ws / "ood.json"),
+                     "--set", f"reference.texts={tmp_path / 'same.txt'}", "--set", "k=1",
+                     "--set", f"output_dir={tmp_path / 'o'}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'reference'" in err and "singular" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("damage, sets", [
     ("model", []),
     ("background_model", ['detectors=["llr"]', "background_model=bg.json"]),
@@ -1118,6 +1171,49 @@ def test_ood_output_independent_of_input_location(ood_ws, tmp_path):
     for name in ("reference.emb.txt", "id.emb.txt", "ood.emb.txt", "ood.tsv", "ood.json"):
         assert ((tmp_path / "a" / "oodrun" / name).read_bytes()
                 == (tmp_path / "b c" / "oodrun" / name).read_bytes())
+
+
+# -- every number key against bad values ---------------------------------------
+
+SWEEP_VALUES = ["0", "-1", "NaN", "Infinity", "-Infinity", '"x"', "[1]", "true"]
+
+
+def _number_keys(schema: dict, path: str = ""):
+    """Dotted keys of the schema's int, float and bool leaves."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _number_keys(spec, f"{path}{key}.")
+        elif spec[0] in (int, float, bool):
+            yield path + key
+
+
+def test_config_sweep_exits_with_a_documented_code(ood_ws, tmp_path):
+    """Each int, float and bool key of the three configs, given each of
+    SWEEP_VALUES, exits 0, 2, 3 or 4, never with a traceback, and exit 2
+    leaves the output location uncreated. The values are small on purpose:
+    a huge count is requested work, not an error."""
+    commands = [  # (command, schema, config, output key, output below the case dir)
+        ("precompute", cli.PRECOMPUTE_SCHEMA, "precompute.json", "output", "pre.json"),
+        ("run", cli.RUN_SCHEMA, "run.json", "output_dir", ""),
+        ("ood", cli.OOD_SCHEMA, "ood.json", "output_dir", ""),
+    ]
+    wrong = []
+    for command, schema, config, out_key, below in commands:
+        for key in _number_keys(schema):
+            for value in SWEEP_VALUES:
+                case = tmp_path / f"{command}-{key}-{SWEEP_VALUES.index(value)}"
+                argv = [command, "--config", str(ood_ws / config),
+                        "--set", f"{out_key}={case / below}",
+                        *(["--set", "prompts.sample=1"] if command == "run" else []),
+                        "--set", f"{key}={value}"]
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:
+                    wrong.append((command, key, value, f"{type(exc).__name__}: {exc}"))
+                    continue
+                if code not in (0, 2, 3, 4) or (code == 2 and case.exists()):
+                    wrong.append((command, key, value, code))
+    assert wrong == []
 
 
 # -- report -----------------------------------------------------------------------
