@@ -8,12 +8,12 @@ dataclass (`_signature_schema`) takes its range from that library's
 validator, which the command calls before it reads any input.
 
 A (config digest, master seed) pair determines every output byte except the
-wall-clock fields: `timing` in each episode record and metric row,
-`update_time_mean`/`test_time_mean` in summary.tsv, and
-`wall_clock_seconds` in manifest.json. That holds on any core count for one
-OpenBLAS build, which runs on one thread (see `_blas`) and is named in the
-manifest's `blas` entry. `run` prints one progress line per finished
-episode on stderr.
+wall-clock values, which have one home per run: `timing` in each episode
+record. `report` reads them from there into its only two timed tables,
+ecdf_update_time.tsv and latency.tsv (each run's update and test time
+means). That holds on any core count for one OpenBLAS build, which runs on
+one thread (see `_blas`) and is named in the manifest's `blas` entry. `run`
+prints one progress line per finished episode on stderr.
 
 Exit codes: 0 ok, 2 configuration error or an input artifact that cannot
 be read, 3 artifact digest error, 4 episode failure fraction exceeded.
@@ -26,7 +26,6 @@ import inspect
 import json
 import multiprocessing
 import sys
-import time
 import typing
 from pathlib import Path
 
@@ -200,12 +199,7 @@ def _parse_set(expr: str):
 
 
 def load_config(path, schema: dict, overrides=()) -> dict:
-    try:
-        raw = read_json(path)
-    except FileNotFoundError:
-        raise CliError(EXIT_CONFIG, f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_CONFIG, f"config file {path} is not valid JSON: {exc}")
+    raw = _load("config", read_json, path)
     for expr in overrides:
         key, value = _parse_set(expr)
         node = raw
@@ -244,6 +238,23 @@ def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
     return p
 
 
+def _output_location(path: Path, name: str, directory: bool = True) -> Path:
+    """`path`, checked before any work: exit 2, naming `name`, when an
+    existing path stands in the way of the output, a directory where a file
+    goes or a non-directory at or above where a directory goes."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if existing.is_dir() != (directory or existing != path):
+        what = "a directory" if existing.is_dir() else "not a directory"
+        raise CliError(EXIT_CONFIG, f"{name}: {existing} is {what}")
+    return path
+
+
+def _output_dir(cfg: dict) -> Path:
+    """The checked directory at config key `output_dir`."""
+    return _output_location(_resolve(cfg, "output_dir", must_exist=False),
+                            "config key 'output_dir'")
+
+
 def config_digest(cfg: dict) -> str:
     clean = {k: v for k, v in cfg.items() if not k.startswith("_")}
     return digest_obj(clean)
@@ -274,7 +285,8 @@ def cmd_precompute(args) -> int:
         check_damping(cfg["damping"])
     except (EstimationError, ValueError) as exc:
         raise CliError(EXIT_CONFIG, f"invalid precompute config: {exc}")
-    out = _resolve(cfg, "output", must_exist=args.verify)
+    out = _output_location(_resolve(cfg, "output", must_exist=args.verify),
+                           "config key 'output'", directory=False)
     model = _load("model", ToyLM.load, _resolve(cfg, "model"))
     corpus_path = _resolve(cfg, "corpus")
     corpus = _load("corpus", read_lines, corpus_path)
@@ -321,14 +333,17 @@ def _read_input(cfg: dict, inputs: dict, key: str, kind: str, load, **kwargs):
     return loaded
 
 
-def _load_scorers(cfg: dict, inputs: dict):
-    lex = cfg["lexicons"]
+def _check_lexicons(lex: dict) -> None:
     for role in ("trigger", "report"):
         if not lex[role]:
             raise CliError(EXIT_CONFIG, f"lexicons.{role} needs at least one lexicon")
     for t in lex["cue"]:
         if t not in CUED_TYPES:
             raise CliError(EXIT_CONFIG, f"lexicons.cue.{t}: cue types are {CUED_TYPES}")
+
+
+def _load_scorers(cfg: dict, inputs: dict):
+    lex = cfg["lexicons"]
 
     def committee(role):
         return [_read_input(cfg, inputs, f"lexicons.{role}.{i}", "lexicon", load_lexicon)
@@ -426,11 +441,13 @@ def _run_pool(items, jobs: int) -> list:
 
 def _run(cfg: dict, jobs: int) -> int:
     """Run a parsed run config and write its run directory, naming its files."""
-    started = time.time()
-    # the episode config is checked before the first input is read
+    # the episode config, lexicons and output directory are checked before
+    # the first input is read
     episode_cfg = _episode_config(cfg)
     if cfg["mode"] == "precond" and cfg["preconditioner"] is None:
         raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
+    _check_lexicons(cfg["lexicons"])
+    out_dir = _output_dir(cfg)
 
     # every input the run reads, with its digest as loaded
     artifacts = {"preconditioner": None}
@@ -472,7 +489,6 @@ def _run(cfg: dict, jobs: int) -> int:
         else:
             failures.append({"prompt_id": f"prompt-{idx:04d}", "error": err})
 
-    out_dir = _resolve(cfg, "output_dir", must_exist=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = cfg["label"] or cfg["mode"]
     digest = config_digest(cfg)
@@ -488,7 +504,6 @@ def _run(cfg: dict, jobs: int) -> int:
             "fluency": fluency(ppl),
             "bias_mean": float(np.mean(scores)) if scores else float("nan"),
             "trigger_rate": rec.trigger_rate,
-            "timing": rec.timing,
         })
 
     outputs = {"records": "records.jsonl", "metrics": "metrics.json",
@@ -512,7 +527,6 @@ def _run(cfg: dict, jobs: int) -> int:
         "n_episodes": len(records),
         "failures": failures,
         "outputs": outputs,
-        "wall_clock_seconds": time.time() - started,
     }
     write_json(out_dir / MANIFEST_FILE, manifest)
 
@@ -592,6 +606,7 @@ def _ablate_point(args, raw: str, total_tokens: int, out_root: Path):
         _episode_config(cfg)
     tag = f"{args.axis}={value}"
     cfg.update(output_dir=str(out_root / tag), label=tag)
+    _output_dir(cfg)
     return tag, value, cfg
 
 
@@ -600,14 +615,21 @@ def cmd_ablate(args) -> int:
     if not raws:
         raise CliError(EXIT_CONFIG, "--values must be a non-empty comma list")
     base_cfg = load_config(args.config, RUN_SCHEMA, args.set or ())
-    out_root = _resolve(base_cfg, "output_dir", must_exist=False)
+    out_root = _output_dir(base_cfg)
     total_tokens = (base_cfg["episode"]["k_segments"]
                     * base_cfg["episode"]["tokens_per_segment"])
-    # every value is checked before the first run writes anything
+    # every value and every point's directory is checked before the first
+    # run writes anything
     points = [_ablate_point(args, raw, total_tokens, out_root) for raw in raws]
     tags = [tag for tag, _, _ in points]
     if len(set(tags)) < len(tags):
         raise CliError(EXIT_CONFIG, f"--values repeats a value: {', '.join(tags)}")
+    if args.axis == "epsilon":
+        # frozen-trajectory scoring: one static pass, shared master seed, then
+        # trigger rates recomputed per threshold from the fixed segment scores
+        frozen = load_config(args.config, RUN_SCHEMA, [*(args.set or ()), "mode=static"])
+        frozen.update(output_dir=str(out_root / "frozen-static"), label="frozen-static")
+        _output_dir(frozen)
 
     rows = {}
     for tag, _, cfg in points:
@@ -622,10 +644,6 @@ def cmd_ablate(args) -> int:
     lines = [f"# ablate axis={args.axis} values={args.values}"]
 
     if args.axis == "epsilon":
-        # frozen-trajectory scoring: one static pass, shared master seed, then
-        # trigger rates recomputed per threshold from the fixed segment scores
-        frozen = load_config(args.config, RUN_SCHEMA, [*(args.set or ()), "mode=static"])
-        frozen.update(output_dir=str(out_root / "frozen-static"), label="frozen-static")
         code = _run(frozen, args.jobs)
         if code != EXIT_OK:
             return code
@@ -678,6 +696,7 @@ def cmd_ood(args) -> int:
     if not cfg["detectors"] or len(set(cfg["detectors"])) < len(cfg["detectors"]):
         raise CliError(EXIT_CONFIG, "config key 'detectors' must name each detector "
                                     f"once, got {cfg['detectors']}")
+    out_dir = _output_dir(cfg)
     if "llr" in cfg["detectors"]:
         if cfg["model"] is None or cfg["background_model"] is None:
             raise CliError(EXIT_CONFIG, "detector llr needs model and background_model")
@@ -716,7 +735,6 @@ def cmd_ood(args) -> int:
         results.append(oodmod.evaluate(s_ood, s_id, bootstrap_n=cfg["bootstrap"],
                                        seed=cfg["seed"], detector=det))
 
-    out_dir = _resolve(cfg, "output_dir", must_exist=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, es in (("reference", reference), ("id", id_set), ("ood", ood_set)):
         es.save(out_dir / f"{name}.emb.txt")
@@ -748,7 +766,7 @@ def cmd_report(args) -> int:
     root = Path(args.records_dir)
     if not root.is_dir():
         raise CliError(EXIT_CONFIG, f"records dir not found: {root}")
-    out_dir = Path(args.out) if args.out else root / "report"
+    out_dir = _output_location(Path(args.out) if args.out else root / "report", "--out")
 
     run_dirs = [root] if (root / MANIFEST_FILE).exists() else []
     run_dirs += [mp.parent for mp in sorted(root.glob(f"*/{MANIFEST_FILE}"))]
@@ -802,13 +820,21 @@ def cmd_report(args) -> int:
     write_text(out_dir / "trajectories.tsv", "\n".join(traj_lines) + "\n")
 
     bias_lines = [stamp, "run\tbias_mean\tcum_frac"]
-    time_lines = [stamp, "run\tupdate_time_total\tcum_frac"]
     for r in runs:
         bias_lines += _ecdf_lines(r["label"], [row["bias_mean"] for row in r["rows"]])
-        time_lines += _ecdf_lines(
-            r["label"], [row["timing"]["update_time_total"] for row in r["rows"]])
     write_text(out_dir / "ecdf_bias.tsv", "\n".join(bias_lines) + "\n")
+
+    # the two timed tables, read from each record's `timing`
+    time_lines = [stamp, "run\tupdate_time_total\tcum_frac"]
+    latency_lines = [stamp, "run\tn\tupdate_time_mean\ttest_time_mean"]
+    for r in runs:
+        upd = [rec.timing["update_time_total"] for rec in r["records"]]
+        test = [rec.timing["test_time_total"] for rec in r["records"]]
+        time_lines += _ecdf_lines(r["label"], upd)
+        latency_lines.append(
+            f"{r['label']}\t{len(upd)}\t{np.mean(upd):.6f}\t{np.mean(test):.6f}")
     write_text(out_dir / "ecdf_update_time.tsv", "\n".join(time_lines) + "\n")
+    write_text(out_dir / "latency.tsv", "\n".join(latency_lines) + "\n")
 
     # DiD of each run against the static baseline when one is present
     did_lines = [stamp,

@@ -150,17 +150,18 @@ def fleiss_kappa(ratings) -> FleissResult:
 
 SUMMARY_COLUMNS = (
     "ppl_mean", "ppl_sd", "fluency_mean", "fluency_sd", "bias_mean", "bias_sd",
-    "trigger_rate_mean", "trigger_rate_sd", "update_time_mean", "test_time_mean",
+    "trigger_rate_mean", "trigger_rate_sd",
 )
 
 
 def aggregate_run(records) -> dict:
     """Across-prompt means and standard deviations for one system's episodes.
 
-    Expects per-episode records with `ppl`, `fluency`, `bias_mean`,
-    `trigger_rate`, and optional wall-clock fields under `timing`. Episodes
-    with non-finite perplexity are excluded from the PPL moments but
-    counted, matching how a +inf sentinel has to be reported."""
+    Expects per-episode metric rows with `ppl`, `fluency`, `bias_mean` and
+    `trigger_rate`. No wall-clock value enters; `ttalab report` writes the
+    latency means to `latency.tsv`. Episodes with non-finite perplexity are
+    excluded from the PPL moments but counted, matching how a +inf sentinel
+    has to be reported."""
     records = list(records)
     if not records:
         raise ValueError("need at least one episode record")
@@ -169,10 +170,6 @@ def aggregate_run(records) -> dict:
     flu = np.array([float(r["fluency"]) for r in records])
     bias = np.array([float(r["bias_mean"]) for r in records])
     trig = np.array([float(r["trigger_rate"]) for r in records])
-    upd = np.array([float(r.get("timing", {}).get("update_time_total", 0.0))
-                    for r in records])
-    test = np.array([float(r.get("timing", {}).get("test_time_total", 0.0))
-                     for r in records])
     out = {
         "n_episodes": len(records),
         "n_nonfinite_ppl": int(np.sum(~finite)),
@@ -184,8 +181,6 @@ def aggregate_run(records) -> dict:
         "bias_sd": float(bias.std()),
         "trigger_rate_mean": float(trig.mean()),
         "trigger_rate_sd": float(trig.std()),
-        "update_time_mean": float(upd.mean()),
-        "test_time_mean": float(test.mean()),
     }
     return out
 

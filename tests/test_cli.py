@@ -51,6 +51,25 @@ def _strip_timing(records):
     return out
 
 
+# the run files that hold no wall-clock value
+UNTIMED_RUN_FILES = ("metrics.json", "summary.tsv", "manifest.json")
+
+
+def _run_into_same_dir(out, first, second):
+    """cli.main on the argv lists `first`, then `second`, each writing `out`;
+    the first one's files are moved aside in between, to the returned path."""
+    aside = out.with_name(out.name + "-first")
+    assert cli.main(first) == 0
+    out.rename(aside)
+    assert cli.main(second) == 0
+    return aside
+
+
+def _assert_same_bytes(a, b, names):
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 SCENARIO_FILES = {
     "model": "scenario/model.json",
     "bank": "scenario/bank.jsonl",
@@ -234,11 +253,11 @@ def test_run_output_layout(ws, runs):
 
 
 def test_run_deterministic_modulo_timing(ws, runs, tmp_path):
-    code = cli.main(["run", "--config", str(ws / "run.json"),
-                     "--set", f"output_dir={tmp_path / 'again'}"])
-    assert code == 0
+    out = tmp_path / "again"
+    argv = ["run", "--config", str(ws / "run.json"), "--set", f"output_dir={out}"]
+    _assert_same_bytes(_run_into_same_dir(out, argv, argv), out, UNTIMED_RUN_FILES)
     h1, r1 = _read_records(runs["precond"] / "records.jsonl")
-    h2, r2 = _read_records(tmp_path / "again" / "records.jsonl")
+    h2, r2 = _read_records(out / "records.jsonl")
     # output_dir participates in the config digest; everything else must agree
     h1.pop("config_digest"), h2.pop("config_digest")
     assert h1 == h2
@@ -273,11 +292,12 @@ def test_pool_forks_no_more_workers_than_episodes(ws, tmp_path, monkeypatch):
 
 
 def test_run_jobs_parity(ws, runs, tmp_path):
-    code = cli.main(["run", "--config", str(ws / "run.json"),
-                     "--set", f"output_dir={tmp_path / 'par'}", "--jobs", "2"])
-    assert code == 0
+    out = tmp_path / "par"
+    argv = ["run", "--config", str(ws / "run.json"), "--set", f"output_dir={out}"]
+    serial_dir = _run_into_same_dir(out, [*argv, "--jobs", "1"], [*argv, "--jobs", "2"])
+    _assert_same_bytes(serial_dir, out, UNTIMED_RUN_FILES)
     _, serial = _read_records(runs["precond"] / "records.jsonl")
-    _, parallel = _read_records(tmp_path / "par" / "records.jsonl")
+    _, parallel = _read_records(out / "records.jsonl")
     assert _strip_timing(serial) == _strip_timing(parallel)
 
 
@@ -514,8 +534,6 @@ def test_forked_workers_run_on_one_blas_thread(ws, tmp_path):
 def _untimed_outputs(out_dir):
     _, records = _read_records(out_dir / "records.jsonl")
     doc = json.loads((out_dir / "metrics.json").read_text())
-    for row in doc["rows"]:
-        row.pop("timing")
     return _strip_timing(records), doc
 
 
@@ -626,18 +644,23 @@ def test_missing_required_key(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "bad_missing.json")]) == 2
 
 
-@pytest.mark.parametrize("setting, key", [
-    pytest.param("lexicons.trigger=[]", "lexicons.trigger", id="trigger"),
-    pytest.param("lexicons.report=[]", "lexicons.report", id="report"),
+# before_input: refused from the config alone, before the first input is read
+@pytest.mark.parametrize("setting, key, before_input", [
+    pytest.param("lexicons.trigger=[]", "lexicons.trigger", True, id="trigger"),
+    pytest.param("lexicons.report=[]", "lexicons.report", True, id="report"),
     # a cue for a type the monitor does not gate would be ignored
-    pytest.param("lexicons.cue.gender=scenario/cue_sex.tsv", "lexicons.cue.gender",
+    pytest.param("lexicons.cue.gender=scenario/cue_sex.tsv", "lexicons.cue.gender", True,
                  id="cue-gender"),
-    pytest.param("lexicons.cue.other=scenario/cue_race.tsv", "lexicons.cue.other",
+    pytest.param("lexicons.cue.other=scenario/cue_race.tsv", "lexicons.cue.other", True,
                  id="cue-other"),
-    pytest.param("lexicons.trigger=[1]", "lexicons.trigger", id="trigger-not-a-path"),
-    pytest.param("lexicons.cue.race=[]", "lexicons.cue.race", id="cue-not-a-path"),
+    pytest.param("lexicons.trigger=[1]", "lexicons.trigger", False,
+                 id="trigger-not-a-path"),
+    pytest.param("lexicons.cue.race=[]", "lexicons.cue.race", False, id="cue-not-a-path"),
 ])
-def test_empty_committee_is_config_error(ws, tmp_path, capsys, setting, key):
+def test_empty_committee_is_config_error(ws, tmp_path, capsys, monkeypatch, setting, key,
+                                         before_input):
+    if before_input:
+        monkeypatch.setattr(cli, "_read_input", _refuse_input)
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
                      "--set", setting]) == 2
@@ -687,6 +710,16 @@ def _refuse_input(*args, **kwargs):
     raise AssertionError("the config should have been refused before any input was read")
 
 
+_cli_load = cli._load
+
+
+def _refuse_input_past_config(kind, load, path, **kwargs):
+    """`cli._load` that reads the config file and refuses every input."""
+    if kind != "config":
+        _refuse_input()
+    return _cli_load(kind, load, path, **kwargs)
+
+
 @pytest.mark.parametrize("key, value", [
     ("prompts.sample", "-3"), ("prompts.sample", "0"),
     ("failure_fraction_max", "-1"), ("failure_fraction_max", "1.5"),
@@ -722,8 +755,45 @@ def test_ablate_refuses_a_non_finite_value_before_any_episode(ws, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-def test_config_file_not_found(tmp_path):
-    assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+def test_config_file_not_found(tmp_path, capsys):
+    """A config file that is missing, not UTF-8 or a directory exits 2 in
+    every command that reads one."""
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    for command in ("run", "precompute", "ablate", "ood"):
+        axis = ["--axis", "epsilon", "--values", "0.2"] if command == "ablate" else []
+        for path in (tmp_path / "nope.json", tmp_path / "utf16.json", tmp_path):
+            assert cli.main([command, "--config", str(path), *axis]) == 2, (command, path)
+            assert f"{path}: not a readable config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "precompute", "report", "ood"])
+def test_output_location_in_the_way_is_config_error(ood_ws, runs, tmp_path, capsys,
+                                                    monkeypatch, command):
+    """An existing path where an output goes, or above it, exits 2 naming
+    its key before any input is read: a file at or above an output
+    directory (for ablate, any point's), a directory at an output file."""
+    monkeypatch.setattr(cli, "_load", _refuse_input_past_config)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "ablate").mkdir()
+    (tmp_path / "ablate" / "epsilon=0.5").write_text("")
+    run = ["--config", str(ood_ws / "run.json")]
+    argv, key = {
+        "run": (["run", *run, "--set", f"output_dir={tmp_path / 'file'}"], "'output_dir'"),
+        "ablate": (["ablate", *run, "--axis", "epsilon", "--values", "0.2,0.5",
+                    "--set", f"output_dir={tmp_path / 'ablate'}"], "'output_dir'"),
+        "precompute": (["precompute", "--config", str(ood_ws / "precompute.json"),
+                        "--set", f"output={tmp_path / 'dir'}"], "'output'"),
+        "report": (["report", str(ood_ws / "runs"), "--out", str(tmp_path / "file")],
+                   "--out"),
+        "ood": (["ood", "--config", str(ood_ws / "ood.json"),
+                 "--set", f"output_dir={tmp_path / 'file' / 'sub'}"], "'output_dir'"),
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _fresh_interpreter_env(**overrides):
@@ -939,11 +1009,12 @@ def test_report_and_ablate_leave_out_a_run_with_no_episodes(ws, runs, tmp_path, 
 
 
 def test_ablate_epsilon_with_frozen_curve(ws):
-    code = cli.main(["ablate", "--config", str(ws / "run.json"),
-                     "--axis", "epsilon", "--values", "0.2,0.5",
-                     "--set", "output_dir=ablate_eps"])
-    assert code == 0
-    lines = (ws / "ablate_eps" / "ablate.tsv").read_text().splitlines()
+    out = ws / "ablate_eps"
+    argv = ["ablate", "--config", str(ws / "run.json"), "--axis", "epsilon",
+            "--values", "0.2,0.5", "--set", "output_dir=ablate_eps"]
+    first = _run_into_same_dir(out, [*argv, "--jobs", "1"], [*argv, "--jobs", "2"])
+    _assert_same_bytes(first, out, ["ablate.tsv"])
+    lines = (out / "ablate.tsv").read_text().splitlines()
     assert lines[0].startswith("# ablate axis=epsilon")
     assert lines[1].startswith("# frozen_trigger_rate:")
     rates = dict(pair.split(":") for pair in lines[1].split()[2:])
@@ -1115,7 +1186,7 @@ def test_ood_unknown_detector(ood_ws, tmp_path):
 ])
 def test_ood_refuses_bad_values_before_any_input(ood_ws, tmp_path, capsys, monkeypatch,
                                                  key, value):
-    monkeypatch.setattr(cli, "_load", _refuse_input)
+    monkeypatch.setattr(cli, "_load", _refuse_input_past_config)
     assert cli.main(["ood", "--config", str(ood_ws / "ood.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",
                      "--set", f"{key}={value}"]) == 2
@@ -1224,8 +1295,16 @@ def test_report_outputs(ws, runs):
     assert cli.main(["report", str(root)]) == 0
     out = root / "report"
     for name in ("summary.tsv", "trajectories.tsv", "ecdf_bias.tsv",
-                 "ecdf_update_time.tsv", "did.tsv"):
+                 "ecdf_update_time.tsv", "latency.tsv", "did.tsv"):
         assert (out / name).exists()
+
+    latency = (out / "latency.tsv").read_text().splitlines()
+    assert latency[0].startswith("# runs ")
+    assert latency[1] == "run\tn\tupdate_time_mean\ttest_time_mean"
+    rows = {ln.split("\t")[0]: ln.split("\t")[1:] for ln in latency[2:]}
+    assert rows.keys() == {"precond", "static", "sgd"}
+    assert all(n == "8" and float(test) > 0.0 for n, _, test in rows.values())
+    assert float(rows["static"][1]) == 0.0 < float(rows["precond"][1])
 
     summary = (out / "summary.tsv").read_text().splitlines()
     assert summary[0].startswith("# runs ")
@@ -1251,6 +1330,22 @@ def test_report_outputs(ws, runs):
     for row in ecdf:
         last_frac[row[0]] = float(row[2])
     assert all(f == pytest.approx(1.0) for f in last_frac.values())
+
+
+def test_report_untimed_tables_reproduce_byte_for_byte(ws, tmp_path):
+    """Two reports over reruns into the same run directories, at --jobs 1
+    and 2, agree byte for byte in every table but the two timed ones."""
+    root = tmp_path / "runs"
+    for jobs in ("1", "2"):
+        if root.exists():
+            root.rename(tmp_path / "runs-first")
+        for mode in ("static", "precond"):
+            assert cli.main(["run", "--config", str(ws / "run.json"), "--jobs", jobs,
+                             "--set", f"mode={mode}",
+                             "--set", f"output_dir={root / mode}"]) == 0
+        assert cli.main(["report", str(root)]) == 0
+    _assert_same_bytes(tmp_path / "runs-first" / "report", root / "report",
+                       ("summary.tsv", "trajectories.tsv", "ecdf_bias.tsv", "did.tsv"))
 
 
 def test_report_custom_out_dir(ws, runs, tmp_path):

@@ -176,9 +176,8 @@ def test_fleiss_validation():
 # -- aggregation --------------------------------------------------------------------
 
 
-def make_record(ppl=4.0, flu=0.5, bias=0.2, trig=0.5, upd=0.01, test=0.2):
-    return {"ppl": ppl, "fluency": flu, "bias_mean": bias, "trigger_rate": trig,
-            "timing": {"update_time_total": upd, "test_time_total": test}}
+def make_record(ppl=4.0, flu=0.5, bias=0.2, trig=0.5):
+    return {"ppl": ppl, "fluency": flu, "bias_mean": bias, "trigger_rate": trig}
 
 
 def test_aggregate_single_episode():
