@@ -20,12 +20,8 @@ from ttalab.tta import run_episode
 model = toydata.build_generator(seed=0)
 evaluator = toydata.build_evaluator(seed=0)
 bank = toydata.build_bank(seed=0)
-fc = toydata.SCENARIO_DEFAULTS["fisher"]
-est = estimate_diag_fisher(model, toydata.fisher_corpus(seed=0),
-                           n_steps=fc["n_steps"], batch_size=fc["batch_size"],
-                           seed=fc["seed"],
-                           continuation_tokens=fc["continuation_tokens"])
-pre = build_preconditioner(est, damping=fc["damping"])
+est = estimate_diag_fisher(model, toydata.fisher_corpus(seed=0))
+pre = build_preconditioner(est)
 prompts = toydata.bias_prompts(seed=0, n=20)
 
 configs = {

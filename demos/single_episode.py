@@ -12,12 +12,8 @@ from ttalab.precond import build_preconditioner, estimate_diag_fisher
 from ttalab.tta import run_episode
 
 model = toydata.build_generator(seed=0)
-fc = toydata.SCENARIO_DEFAULTS["fisher"]
-est = estimate_diag_fisher(model, toydata.fisher_corpus(seed=0),
-                           n_steps=fc["n_steps"], batch_size=fc["batch_size"],
-                           seed=fc["seed"],
-                           continuation_tokens=fc["continuation_tokens"])
-pre = build_preconditioner(est, damping=fc["damping"])
+est = estimate_diag_fisher(model, toydata.fisher_corpus(seed=0))
+pre = build_preconditioner(est)
 bank = toydata.build_bank(seed=0)
 monitor = toydata.build_monitor()
 config = toydata.default_config()

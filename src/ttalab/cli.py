@@ -5,7 +5,11 @@ hyperparameter is a named key) plus repeatable --set dotted overrides. Each
 config rule has one home: a schema leaf written here carries its closed
 range beside its type, and a leaf read from a library signature or
 dataclass (`_signature_schema`) takes its range from that library's
-validator, which the command calls before it reads any input.
+validator, which the command calls before it reads any input. The `ood`
+keys `k`, `bootstrap` and `seed` take their type and default from `ood`
+and their range from here, because `ood` checks them only once the inputs
+are read. Each default is the library's, the bundled scenario's tuned
+value, so a config that names only paths runs the scenario.
 
 A (config digest, master seed) pair determines every output byte except the
 wall-clock values, which have one home per run: `timing` in each episode
@@ -53,6 +57,18 @@ from .tta import EpisodeConfig, load_episodes, run_episode, save_episodes, trigg
 MANIFEST_KIND = "run-manifest"
 MANIFEST_VERSION = 1
 MANIFEST_FILE = "manifest.json"
+# The files each command writes into its output directory, named here only;
+# every one is checked before the command reads its first input.
+# `_run`'s, under the manifest's `outputs` keys, beside the manifest itself
+RUN_OUTPUTS = {"records": "records.jsonl", "metrics": "metrics.json",
+               "summary": "summary.tsv"}
+RUN_FILES = (*RUN_OUTPUTS.values(), MANIFEST_FILE)
+ABLATE_TABLE = "ablate.tsv"
+REPORT_TABLES = {"summary": "summary.tsv", "trajectories": "trajectories.tsv",
+                 "ecdf_bias": "ecdf_bias.tsv", "ecdf_update_time": "ecdf_update_time.tsv",
+                 "latency": "latency.tsv", "did": "did.tsv"}
+OOD_FILES = {"reference": "reference.emb.txt", "id": "id.emb.txt",
+             "ood": "ood.emb.txt", "table": "ood.tsv", "results": "ood.json"}
 # the manifest keys that `read_run` requires
 MANIFEST_KEYS = ("label", "mode", "config_digest", "outputs.records",
                  "outputs.metrics", "artifacts.model.digest", "artifacts.bank.digest")
@@ -136,6 +152,8 @@ RUN_SCHEMA = {
     "update": _signature_schema(UpdateRuleConfig, skip=("kind",)),
 }
 
+_KNN = _signature_schema(oodmod.knn_score)
+_EVALUATE = _signature_schema(oodmod.evaluate)
 OOD_SCHEMA = {
     "model": (str, None),
     "background_model": (str, None),
@@ -143,17 +161,23 @@ OOD_SCHEMA = {
     "id": {"texts": (str, None), "embeddings": (str, None)},
     "ood": {"texts": (str, None), "embeddings": (str, None)},
     "detectors": (list, ["knn", "mahalanobis"]),
-    # its upper bound, the reference set's size, is checked in cmd_ood
-    "k": (int, 10, (1, np.inf)),
-    "bootstrap": (int, 1000, (0, np.inf)),
-    "seed": (int, 0, (0, np.inf)),
+    # type and default from the library, the range here, checked before any
+    # input is read; k's upper bound, the reference set's size, is checked
+    # in cmd_ood
+    "k": (*_KNN["k"], (1, np.inf)),
+    "bootstrap": (*_EVALUATE["bootstrap_n"], (0, np.inf)),
+    "seed": (*_EVALUATE["seed"], (0, np.inf)),
     "output_dir": (str, REQUIRED),
 }
 
 
-def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
+def _check_section(raw, path: str) -> None:
     if not isinstance(raw, dict):
         raise CliError(EXIT_CONFIG, f"config section {path or '<root>'} must be an object")
+
+
+def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
+    _check_section(raw, path)
     out = {}
     for key, value in raw.items():
         if key not in schema:
@@ -200,6 +224,7 @@ def _parse_set(expr: str):
 
 def load_config(path, schema: dict, overrides=()) -> dict:
     raw = _load("config", read_json, path)
+    _check_section(raw, "")
     for expr in overrides:
         key, value = _parse_set(expr)
         node = raw
@@ -238,21 +263,26 @@ def _resolve(cfg: dict, key_path: str, must_exist: bool = True) -> Path:
     return p
 
 
-def _output_location(path: Path, name: str, directory: bool = True) -> Path:
+def _output_location(path: Path, name: str, directory: bool = True,
+                     files=()) -> Path:
     """`path`, checked before any work: exit 2, naming `name`, when an
     existing path stands in the way of the output, a directory where a file
-    goes or a non-directory at or above where a directory goes."""
+    goes or a non-directory at or above where a directory goes. The names
+    in `files` are the files the command writes into directory `path`."""
     existing = next(p for p in (path, *path.parents) if p.exists())
     if existing.is_dir() != (directory or existing != path):
         what = "a directory" if existing.is_dir() else "not a directory"
         raise CliError(EXIT_CONFIG, f"{name}: {existing} is {what}")
+    for file in files:
+        _output_location(path / file, name, directory=False)
     return path
 
 
-def _output_dir(cfg: dict) -> Path:
-    """The checked directory at config key `output_dir`."""
+def _output_dir(cfg: dict, files) -> Path:
+    """The checked directory at config key `output_dir`, into which the
+    command writes `files`."""
     return _output_location(_resolve(cfg, "output_dir", must_exist=False),
-                            "config key 'output_dir'")
+                            "config key 'output_dir'", files=files)
 
 
 def config_digest(cfg: dict) -> str:
@@ -440,14 +470,14 @@ def _run_pool(items, jobs: int) -> list:
 
 
 def _run(cfg: dict, jobs: int) -> int:
-    """Run a parsed run config and write its run directory, naming its files."""
+    """Run a parsed run config and write its run directory: `RUN_FILES`."""
     # the episode config, lexicons and output directory are checked before
     # the first input is read
     episode_cfg = _episode_config(cfg)
     if cfg["mode"] == "precond" and cfg["preconditioner"] is None:
         raise CliError(EXIT_CONFIG, "mode=precond needs a preconditioner path")
     _check_lexicons(cfg["lexicons"])
-    out_dir = _output_dir(cfg)
+    out_dir = _output_dir(cfg, RUN_FILES)
 
     # every input the run reads, with its digest as loaded
     artifacts = {"preconditioner": None}
@@ -506,16 +536,15 @@ def _run(cfg: dict, jobs: int) -> int:
             "trigger_rate": rec.trigger_rate,
         })
 
-    outputs = {"records": "records.jsonl", "metrics": "metrics.json",
-               "summary": "summary.tsv"}
     meta = {"label": label, "mode": cfg["mode"], "config_digest": digest,
             "master_seed": cfg["master_seed"], "tool_version": __version__}
-    save_episodes(out_dir / outputs["records"], records, meta=meta)
-    write_json(out_dir / outputs["metrics"], {"kind": "episode-metrics",
-                                              "rows": episode_rows, **meta})
+    save_episodes(out_dir / RUN_OUTPUTS["records"], records, meta=meta)
+    write_json(out_dir / RUN_OUTPUTS["metrics"], {"kind": "episode-metrics",
+                                                  "rows": episode_rows, **meta})
     # written with no data rows too, so no earlier run's table is left behind
     summary = {label: aggregate_run(episode_rows)} if records else {}
-    write_text(out_dir / outputs["summary"], f"# config {digest}\n" + summary_table(summary))
+    write_text(out_dir / RUN_OUTPUTS["summary"],
+               f"# config {digest}\n" + summary_table(summary))
 
     manifest = {
         "kind": MANIFEST_KIND,
@@ -526,7 +555,7 @@ def _run(cfg: dict, jobs: int) -> int:
         "n_prompts": len(prompts),
         "n_episodes": len(records),
         "failures": failures,
-        "outputs": outputs,
+        "outputs": RUN_OUTPUTS,
     }
     write_json(out_dir / MANIFEST_FILE, manifest)
 
@@ -606,7 +635,7 @@ def _ablate_point(args, raw: str, total_tokens: int, out_root: Path):
         _episode_config(cfg)
     tag = f"{args.axis}={value}"
     cfg.update(output_dir=str(out_root / tag), label=tag)
-    _output_dir(cfg)
+    _output_dir(cfg, RUN_FILES)
     return tag, value, cfg
 
 
@@ -615,7 +644,7 @@ def cmd_ablate(args) -> int:
     if not raws:
         raise CliError(EXIT_CONFIG, "--values must be a non-empty comma list")
     base_cfg = load_config(args.config, RUN_SCHEMA, args.set or ())
-    out_root = _output_dir(base_cfg)
+    out_root = _output_dir(base_cfg, (ABLATE_TABLE,))
     total_tokens = (base_cfg["episode"]["k_segments"]
                     * base_cfg["episode"]["tokens_per_segment"])
     # every value and every point's directory is checked before the first
@@ -629,7 +658,7 @@ def cmd_ablate(args) -> int:
         # trigger rates recomputed per threshold from the fixed segment scores
         frozen = load_config(args.config, RUN_SCHEMA, [*(args.set or ()), "mode=static"])
         frozen.update(output_dir=str(out_root / "frozen-static"), label="frozen-static")
-        _output_dir(frozen)
+        _output_dir(frozen, RUN_FILES)
 
     rows = {}
     for tag, _, cfg in points:
@@ -656,8 +685,8 @@ def cmd_ablate(args) -> int:
             lines.append("# frozen_trigger_rate: " + " ".join(
                 f"{e:g}:{c / len(scores):.6f}" for e, c in zip(eps_sorted, curve)))
 
-    write_text(out_root / "ablate.tsv", "\n".join(lines) + "\n" + table)
-    print(f"ablate table -> {out_root / 'ablate.tsv'}")
+    write_text(out_root / ABLATE_TABLE, "\n".join(lines) + "\n" + table)
+    print(f"ablate table -> {out_root / ABLATE_TABLE}")
     return EXIT_OK
 
 
@@ -696,7 +725,7 @@ def cmd_ood(args) -> int:
     if not cfg["detectors"] or len(set(cfg["detectors"])) < len(cfg["detectors"]):
         raise CliError(EXIT_CONFIG, "config key 'detectors' must name each detector "
                                     f"once, got {cfg['detectors']}")
-    out_dir = _output_dir(cfg)
+    out_dir = _output_dir(cfg, OOD_FILES.values())
     if "llr" in cfg["detectors"]:
         if cfg["model"] is None or cfg["background_model"] is None:
             raise CliError(EXIT_CONFIG, "detector llr needs model and background_model")
@@ -737,7 +766,7 @@ def cmd_ood(args) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, es in (("reference", reference), ("id", id_set), ("ood", ood_set)):
-        es.save(out_dir / f"{name}.emb.txt")
+        es.save(out_dir / OOD_FILES[name])
     header = ("detector", "auroc", "ci_low", "ci_high", "aupr", "far_ood",
               "n_ood", "n_id")
     lines = ["\t".join(header)]
@@ -745,8 +774,8 @@ def cmd_ood(args) -> int:
         lines.append("\t".join([
             r.detector, f"{r.auroc:.6f}", f"{r.ci_low:.6f}", f"{r.ci_high:.6f}",
             f"{r.aupr:.6f}", str(int(r.far_ood)), str(r.n_ood), str(r.n_id)]))
-    write_text(out_dir / "ood.tsv", "\n".join(lines) + "\n")
-    write_json(out_dir / "ood.json", {"kind": "ood-results",
+    write_text(out_dir / OOD_FILES["table"], "\n".join(lines) + "\n")
+    write_json(out_dir / OOD_FILES["results"], {"kind": "ood-results",
                                       "results": [r.to_record() for r in results]})
     for line in lines:
         print(line)
@@ -766,7 +795,8 @@ def cmd_report(args) -> int:
     root = Path(args.records_dir)
     if not root.is_dir():
         raise CliError(EXIT_CONFIG, f"records dir not found: {root}")
-    out_dir = _output_location(Path(args.out) if args.out else root / "report", "--out")
+    out_dir = _output_location(Path(args.out) if args.out else root / "report", "--out",
+                               files=REPORT_TABLES.values())
 
     run_dirs = [root] if (root / MANIFEST_FILE).exists() else []
     run_dirs += [mp.parent for mp in sorted(root.glob(f"*/{MANIFEST_FILE}"))]
@@ -781,7 +811,7 @@ def cmd_report(args) -> int:
         print(f"warning: no run manifests with episodes under {root}; writing empty tables",
               file=sys.stderr)
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_text(out_dir / "summary.tsv", "# no runs\n")
+        write_text(out_dir / REPORT_TABLES["summary"], "# no runs\n")
         return EXIT_OK
 
     labels = [r["label"] for r in runs]
@@ -801,7 +831,7 @@ def cmd_report(args) -> int:
     stamp = "# runs " + " ".join(f"{k}={v[:12]}" for k, v in sorted(digests.items()))
 
     summary = {r["label"]: aggregate_run(r["rows"]) for r in runs}
-    write_text(out_dir / "summary.tsv", stamp + "\n" + summary_table(summary))
+    write_text(out_dir / REPORT_TABLES["summary"], stamp + "\n" + summary_table(summary))
 
     traj_lines = [stamp, "run\tsegment\tbias_mean\tbias_sd\ttrigger_rate\tn"]
     for r in runs:
@@ -817,12 +847,12 @@ def cmd_report(args) -> int:
             traj_lines.append(
                 f"{r['label']}\t{j}\t{np.mean(scores):.6f}\t{np.std(scores):.6f}"
                 f"\t{np.mean(trigs):.6f}\t{len(scores)}")
-    write_text(out_dir / "trajectories.tsv", "\n".join(traj_lines) + "\n")
+    write_text(out_dir / REPORT_TABLES["trajectories"], "\n".join(traj_lines) + "\n")
 
     bias_lines = [stamp, "run\tbias_mean\tcum_frac"]
     for r in runs:
         bias_lines += _ecdf_lines(r["label"], [row["bias_mean"] for row in r["rows"]])
-    write_text(out_dir / "ecdf_bias.tsv", "\n".join(bias_lines) + "\n")
+    write_text(out_dir / REPORT_TABLES["ecdf_bias"], "\n".join(bias_lines) + "\n")
 
     # the two timed tables, read from each record's `timing`
     time_lines = [stamp, "run\tupdate_time_total\tcum_frac"]
@@ -833,8 +863,8 @@ def cmd_report(args) -> int:
         time_lines += _ecdf_lines(r["label"], upd)
         latency_lines.append(
             f"{r['label']}\t{len(upd)}\t{np.mean(upd):.6f}\t{np.mean(test):.6f}")
-    write_text(out_dir / "ecdf_update_time.tsv", "\n".join(time_lines) + "\n")
-    write_text(out_dir / "latency.tsv", "\n".join(latency_lines) + "\n")
+    write_text(out_dir / REPORT_TABLES["ecdf_update_time"], "\n".join(time_lines) + "\n")
+    write_text(out_dir / REPORT_TABLES["latency"], "\n".join(latency_lines) + "\n")
 
     # DiD of each run against the static baseline when one is present
     did_lines = [stamp,
@@ -859,7 +889,7 @@ def cmd_report(args) -> int:
                 did_lines.append(
                     f"{r['label']}\t{baseline['label']}\t{j}\t{len(diffs)}"
                     f"\t{excluded}\t{np.mean(diffs):.6f}\t{stat}\t{pval}")
-    write_text(out_dir / "did.tsv", "\n".join(did_lines) + "\n")
+    write_text(out_dir / REPORT_TABLES["did"], "\n".join(did_lines) + "\n")
 
     print(f"report -> {out_dir}")
     return EXIT_OK

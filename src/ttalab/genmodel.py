@@ -175,9 +175,12 @@ def init_adapter(rng: np.random.Generator, vocab_size: int, dim: int,
 
 @dataclass
 class GenerationSettings:
-    temperature: float = 0.9
-    top_p: float = 0.9
-    tokens_per_segment: int = 128
+    """Sampling settings with no defaults of their own: an episode's come
+    from `tta.EpisodeConfig`, a Fisher estimate's from
+    `precond.sampling_settings`."""
+    temperature: float
+    top_p: float
+    tokens_per_segment: int
 
     def validate(self) -> None:
         if not (math.isfinite(self.temperature) and self.temperature > 0):

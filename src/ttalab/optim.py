@@ -25,7 +25,7 @@ _DEFAULT_LR = {"precond": 1e-3, "sgd": 5e-4, "adamw": 3e-4}
 class UpdateRuleConfig:
     kind: str = "precond"
     learning_rate: float | None = None
-    steps: int = 10
+    steps: int = 50
     clip_coef: float = 1.0
     max_delta_norm: float = 0.25
     lambda_reg: float = 1e-3

@@ -88,8 +88,8 @@ class FisherDiagEstimate:
     empirical: bool = False
 
 
-def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
-                         seed: int = 0, continuation_tokens: int = 128,
+def estimate_diag_fisher(model, corpus, n_steps: int = 6, batch_size: int = 2,
+                         seed: int = 0, continuation_tokens: int = 24,
                          empirical: bool = False) -> FisherDiagEstimate:
     """Running mean of squared per-parameter scores over sampled batches.
 
@@ -102,6 +102,11 @@ def estimate_diag_fisher(model, corpus, n_steps: int = 10, batch_size: int = 2,
 
     Each step draws from its own child stream of `seed` in a fixed order, so
     the result is byte-stable no matter how steps are scheduled.
+
+    The defaults are the bundled scenario's tuned values, and this signature
+    (with `build_preconditioner`'s damping) is their one home:
+    `toydata.SCENARIO_DEFAULTS["fisher"]` and the `ttalab precompute` config
+    schema both read them from here.
     """
     corpus = list(corpus)
     if not corpus:

@@ -6,17 +6,27 @@ Everything is derived from a single seed, so a scenario directory written
 once can be reproduced byte-for-byte. The group names are invented words;
 they carry no real-world referent and exist only to give the routing types
 something to route.
+
+The hyperparameters the scenario is tuned for are the library defaults and
+live there, not here: the episode's in `tta.EpisodeConfig`, the update
+rule's in `optim.UpdateRuleConfig`, the Fisher estimate's in the signatures
+of `precond.estimate_diag_fisher` and `precond.build_preconditioner`.
+`SCENARIO_DEFAULTS` reads them from those homes for the scenario manifest;
+only the Fisher corpus file name is written here. The scenario's sizes,
+`SAFE_PER_TYPE` safe texts per type and `N_PROMPTS` prompts, are named once
+below.
 """
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import canonical_json, file_digest, write_text
 from .genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
-from .optim import UpdateRuleConfig
+from .precond import build_preconditioner, estimate_diag_fisher
 from .safebank import SafeBank, ingest
 from .scoring import (
     BiasMonitor,
@@ -48,6 +58,9 @@ NEGATIVE_WEIGHTS = {"awful": 0.50, "nasty": 0.45, "vile": 0.55, "rotten": 0.42,
 GROUP_WEIGHT = 0.12
 # the reporting-committee score a bundled prompt must reach
 PROMPT_MIN_BIAS = 0.4
+# the scenario's safe texts per routed type and its prompt pool size
+SAFE_PER_TYPE = 40
+N_PROMPTS = 60
 
 
 def all_group_words() -> list[str]:
@@ -228,7 +241,7 @@ def build_monitor() -> BiasMonitor:
 # -- bank and prompts ---------------------------------------------------------------
 
 
-def safe_records(seed: int, per_type: int = 40) -> list[tuple[str, str]]:
+def safe_records(seed: int, per_type: int) -> list[tuple[str, str]]:
     rng = np.random.default_rng(seed)
     out = []
     for t in GROUP_TERMS:
@@ -239,7 +252,8 @@ def safe_records(seed: int, per_type: int = 40) -> list[tuple[str, str]]:
     return out
 
 
-def build_bank(seed: int = 0, per_type: int = 40, generic_target: int = 30) -> SafeBank:
+def build_bank(seed: int = 0, per_type: int = SAFE_PER_TYPE,
+               generic_target: int = 30) -> SafeBank:
     scorer = report_committee()[0]
     gen_rng = np.random.default_rng(seed + 3)
     generic = sorted({_neutral_sentence(gen_rng) for _ in range(4 * generic_target)})
@@ -248,7 +262,7 @@ def build_bank(seed: int = 0, per_type: int = 40, generic_target: int = 30) -> S
                   seed=seed, source_id="bundled-toy")
 
 
-def bias_prompts(seed: int, n: int = 60) -> list[str]:
+def bias_prompts(seed: int, n: int) -> list[str]:
     """Prompt pool: short group-plus-negative openers scoring at least
     `PROMPT_MIN_BIAS`.
 
@@ -282,48 +296,46 @@ def bias_prompts(seed: int, n: int = 60) -> list[str]:
 
 # -- scenario directory -----------------------------------------------------------
 
-# Hyperparameters the bundled scenario is tuned for. Fisher contexts come
-# from the slanted corpus because that is where this generator actually
-# lives; a neutral-only corpus leaves the negative-context coordinates with
-# vanishing curvature estimates, and the preconditioner then dumps most of
-# each step into exactly those coordinates.
+def _defaults(fn, *names) -> dict:
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names}
+
+
+_EPISODE = EpisodeConfig()
+# The hyperparameters the bundled scenario is tuned for, as its manifest
+# records them, read from their library homes. Fisher contexts come from the
+# slanted corpus because that is where this generator actually lives; a
+# neutral-only corpus leaves the negative-context coordinates with vanishing
+# curvature estimates, and the preconditioner then dumps most of each step
+# into exactly those coordinates.
 SCENARIO_DEFAULTS = {
-    "epsilon": 0.3,
-    "k_segments": 4,
-    "tokens_per_segment": 16,
-    "safe_batch": 4,
-    "update_kind": "precond",
-    "steps": 50,
+    "epsilon": _EPISODE.epsilon,
+    "k_segments": _EPISODE.k_segments,
+    "tokens_per_segment": _EPISODE.tokens_per_segment,
+    "safe_batch": _EPISODE.safe_batch,
+    "update_kind": _EPISODE.update.kind,
+    "steps": _EPISODE.update.steps,
     "fisher": {
         "corpus": "fisher_corpus.txt",
-        "n_steps": 6,
-        "batch_size": 2,
-        "seed": 0,
-        "continuation_tokens": 24,
-        "damping": 1e-4,
+        **_defaults(estimate_diag_fisher, "n_steps", "batch_size", "seed",
+                    "continuation_tokens"),
+        **_defaults(build_preconditioner, "damping"),
     },
 }
 
 
 def default_config(**overrides) -> EpisodeConfig:
-    base = dict(
-        k_segments=SCENARIO_DEFAULTS["k_segments"],
-        tokens_per_segment=SCENARIO_DEFAULTS["tokens_per_segment"],
-        epsilon=SCENARIO_DEFAULTS["epsilon"],
-        safe_batch=SCENARIO_DEFAULTS["safe_batch"],
-        update=UpdateRuleConfig(kind=SCENARIO_DEFAULTS["update_kind"],
-                                steps=SCENARIO_DEFAULTS["steps"]),
-    )
-    base.update(overrides)
-    return EpisodeConfig(**base)
+    """The scenario's episode config with `overrides`: the library defaults
+    are the scenario's."""
+    return EpisodeConfig(**overrides)
 
 
 def fisher_corpus(seed: int = 0) -> list[str]:
     return biased_corpus(seed + 6, n=32)
 
 
-def write_scenario(directory, seed: int = 0, n_prompts: int = 60,
-                   per_type: int = 40) -> dict:
+def write_scenario(directory, seed: int = 0, n_prompts: int = N_PROMPTS,
+                   per_type: int = SAFE_PER_TYPE) -> dict:
     """Materialize every scenario artifact plus a digest manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

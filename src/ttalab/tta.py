@@ -41,10 +41,15 @@ DEFAULT_MARKER = "[Continue the story]"
 
 @dataclass
 class EpisodeConfig:
+    """One episode's settings. Each default is the bundled scenario's tuned
+    value and has its one home here (the update rule's in
+    `optim.UpdateRuleConfig`): `toydata.SCENARIO_DEFAULTS` is read from this
+    class, and the `episode` section of a run config takes its defaults from
+    its fields."""
     k_segments: int = 4
-    tokens_per_segment: int = 128
+    tokens_per_segment: int = 16
     epsilon: float = 0.3
-    safe_batch: int = 2
+    safe_batch: int = 4
     update: UpdateRuleConfig = field(default_factory=UpdateRuleConfig)
     multi_trigger: bool = False
     temperature: float = 0.9
@@ -279,7 +284,7 @@ class DriftReport:
                 and self.delta_norm_sum <= self.step_bound + tol)
 
 
-def drift_report(record: EpisodeRecord, max_delta_norm: float = 0.25) -> DriftReport:
+def drift_report(record: EpisodeRecord, max_delta_norm: float) -> DriftReport:
     """Both sides of the drift inequality: the realized endpoint movement,
     the triangle-inequality budget, and the hard cap from step capping."""
     triggers = sum(1 for s in record.segments if s.triggered)

@@ -637,6 +637,49 @@ def test_cli_defaults_are_library_defaults(tmp_path):
         update=UpdateRuleConfig(kind="precond"))
 
 
+# The bundled scenario's tuned keys, each written out. `learning_rate` null
+# is the rule's own rate; a number there would change the config digest.
+SCENARIO_EPISODE = {"k_segments": 4, "tokens_per_segment": 16, "epsilon": 0.3,
+                    "safe_batch": 4, "multi_trigger": False, "temperature": 0.9,
+                    "top_p": 0.9}
+SCENARIO_UPDATE = {"learning_rate": None, "steps": 50, "clip_coef": 1.0,
+                   "max_delta_norm": 0.25, "lambda_reg": 1e-3}
+SCENARIO_FISHER = {"n_steps": 6, "batch_size": 2, "seed": 0, "continuation_tokens": 24,
+                   "damping": 1e-4}
+
+
+def test_paths_only_run_config_runs_the_scenario(ws, tmp_path):
+    """A run config with no `episode` or `update` section runs the scenario's
+    tuned loop: the records of the config that writes every key out, apart
+    from `timing`, and, rerun into the same output_dir, the same bytes in
+    every untimed file."""
+    explicit = _run_config("unused", episode=SCENARIO_EPISODE, update=SCENARIO_UPDATE)
+    paths_only = {k: v for k, v in explicit.items() if k not in ("episode", "update")}
+    _write_json(ws / "scenario_keys.json", explicit)
+    _write_json(ws / "paths_only.json", paths_only)
+    out = tmp_path / "out"
+    argv = ["--set", "prompts.sample=2", "--set", f"output_dir={out}"]
+    aside = _run_into_same_dir(out, ["run", "--config", str(ws / "scenario_keys.json"), *argv],
+                               ["run", "--config", str(ws / "paths_only.json"), *argv])
+    (header, recs), (paths_header, paths_recs) = (_read_records(d / "records.jsonl")
+                                                  for d in (aside, out))
+    assert header == paths_header and _strip_timing(recs) == _strip_timing(paths_recs)
+    assert [r["config"]["steps"] for r in paths_recs] == [50, 50]
+    _assert_same_bytes(aside, out, UNTIMED_RUN_FILES)
+
+
+def test_paths_only_precompute_config_writes_the_scenario_artifact(ws, tmp_path):
+    paths = {"model": "scenario/model.json", "corpus": "scenario/fisher_corpus.txt"}
+    _write_json(ws / "precompute_scenario.json",
+                {**paths, "output": str(tmp_path / "scenario.json"), **SCENARIO_FISHER})
+    _write_json(ws / "precompute_paths_only.json",
+                {**paths, "output": str(tmp_path / "paths_only.json")})
+    for name in ("precompute_scenario.json", "precompute_paths_only.json"):
+        assert cli.main(["precompute", "--config", str(ws / name)]) == 0
+    assert ((tmp_path / "paths_only.json").read_bytes()
+            == (tmp_path / "scenario.json").read_bytes())
+
+
 def test_missing_required_key(ws, tmp_path):
     bad = _run_config(str(tmp_path / "o"))
     del bad["bank"]
@@ -794,6 +837,54 @@ def test_output_location_in_the_way_is_config_error(ood_ws, runs, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["run", "precompute", "ablate", "ood"])
+@pytest.mark.parametrize("root", [[], 5, "x"], ids=["list", "number", "string"])
+@pytest.mark.parametrize("overrides", [[], ["--set", "a=1"]], ids=["plain", "set"])
+def test_config_root_must_be_an_object(tmp_path, capsys, monkeypatch, command, root,
+                                       overrides):
+    """A config whose root is not an object exits 2 before any override is
+    applied or any input read."""
+    monkeypatch.setattr(cli, "_load", _refuse_input_past_config)
+    path = tmp_path / "c.json"
+    _write_json(path, root)
+    axis = ["--axis", "epsilon", "--values", "0.2"] if command == "ablate" else []
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([command, "--config", str(path), *axis, *overrides]) == 2
+    assert "error: config section <root> must be an object" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["run", "ablate", "report", "ood"])
+def test_output_file_blocked_by_a_directory_is_config_error(ood_ws, runs, tmp_path, capsys,
+                                                            monkeypatch, command):
+    """A directory where a command writes a file into its output directory
+    exits 2 naming that path, before any input is read: for each file the
+    command writes (for ablate, each point's too)."""
+    monkeypatch.setattr(cli, "_load", _refuse_input_past_config)
+    out = tmp_path / "out"
+    run = ["--config", str(ood_ws / "run.json")]
+    points = ("epsilon=0.2", "epsilon=0.5", "frozen-static")
+    argv, files = {
+        "run": (["run", *run, "--set", f"output_dir={out}"], cli.RUN_FILES),
+        "ablate": (["ablate", *run, "--axis", "epsilon", "--values", "0.2,0.5",
+                    "--set", f"output_dir={out}"],
+                   [cli.ABLATE_TABLE, *(f"{point}/{name}" for point in points
+                                        for name in cli.RUN_FILES)]),
+        "report": (["report", str(ood_ws / "runs"), "--out", str(out)],
+                   cli.REPORT_TABLES.values()),
+        "ood": (["ood", "--config", str(ood_ws / "ood.json"), "--set", f"output_dir={out}"],
+                cli.OOD_FILES.values()),
+    }[command]
+    for name in files:
+        (out / name).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{out / name} is a directory" in err, name
+        assert sorted(tmp_path.rglob("*")) == before, name
+        shutil.rmtree(out)
 
 
 def _fresh_interpreter_env(**overrides):
@@ -1076,9 +1167,16 @@ def test_ablate_point_is_the_run_its_overrides_name(ws, tmp_path):
 
 
 def test_run_directory_file_names_live_in_the_writer():
+    """Each file name a command writes is written once, in its module-level
+    table, and the run writer reads its names from there."""
     source = inspect.getsource(cli)
     for name in ("records.jsonl", "metrics.json"):
-        assert source.count(name) == 1 and name in inspect.getsource(cli._run)
+        assert source.count(name) == 1 and name in cli.RUN_OUTPUTS.values()
+    assert "RUN_OUTPUTS" in inspect.getsource(cli._run)
+    names = [*cli.RUN_FILES, cli.ABLATE_TABLE, *cli.REPORT_TABLES.values(),
+             *cli.OOD_FILES.values()]
+    for name in names:
+        assert source.count(f'"{name}"') == names.count(name), name
 
 
 @pytest.mark.parametrize("axis,values", [

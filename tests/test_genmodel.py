@@ -109,7 +109,8 @@ def test_out_of_vocabulary_ids_rejected(bad):
     with pytest.raises(ValueError, match="outside 0..4"):
         m.sequence_log_prob([1, bad])
     with pytest.raises(ValueError, match="outside 0..4"):
-        m.sample_segment([bad, 1], GenerationSettings(tokens_per_segment=1),
+        m.sample_segment([bad, 1], GenerationSettings(temperature=0.9, top_p=0.9,
+                                            tokens_per_segment=1),
                          np.random.default_rng(0))
 
 
@@ -280,14 +281,15 @@ def test_sample_segment_matches_reference(order, vocab_size, temperature, top_p,
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        GenerationSettings(temperature=0.0).validate()
+        GenerationSettings(temperature=0.0, top_p=0.9, tokens_per_segment=1).validate()
     with pytest.raises(ValueError):
-        GenerationSettings(top_p=0.0).validate()
+        GenerationSettings(temperature=0.9, top_p=0.0, tokens_per_segment=1).validate()
     with pytest.raises(ValueError):
-        GenerationSettings(top_p=1.2).validate()
+        GenerationSettings(temperature=0.9, top_p=1.2, tokens_per_segment=1).validate()
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="temperature must be finite"):
-            GenerationSettings(temperature=bad).validate()
+            GenerationSettings(temperature=bad, top_p=0.9,
+                               tokens_per_segment=1).validate()
 
 
 # -- adapter gradient -----------------------------------------------------------

@@ -6,6 +6,7 @@ from ttalab.artifacts import read_lines
 from ttalab.genmodel import ToyLM
 from ttalab.safebank import SafeBank
 from ttalab.scoring import BiasMonitor, load_lexicon, report_score
+from ttalab.tta import EpisodeConfig
 
 EPS = toydata.SCENARIO_DEFAULTS["epsilon"]
 
@@ -137,6 +138,18 @@ def test_default_config_matches_manifest_defaults():
     assert cfg.update.steps == d["steps"]
     over = toydata.default_config(epsilon=0.0, adapt=False)
     assert over.epsilon == 0.0 and not over.adapt
+
+
+def test_scenario_defaults_are_the_library_defaults():
+    """The scenario's tuned values are the library defaults, and the
+    manifest's `defaults` entry, read from them, keeps its values."""
+    assert toydata.default_config() == EpisodeConfig()
+    assert toydata.SCENARIO_DEFAULTS == {
+        "epsilon": 0.3, "k_segments": 4, "tokens_per_segment": 16, "safe_batch": 4,
+        "update_kind": "precond", "steps": 50,
+        "fisher": {"corpus": "fisher_corpus.txt", "n_steps": 6, "batch_size": 2,
+                   "seed": 0, "continuation_tokens": 24, "damping": 1e-4},
+    }
 
 
 @pytest.mark.parametrize("words", [["the", "a"], toydata.NOUNS, toydata.VERBS,

@@ -236,9 +236,10 @@ def test_update_round_matches_per_step_reference(kind):
 
 def test_drift_ledger_and_monotonicity():
     model = biased_model()
+    cfg = small_config()
     rec = run_episode("calm walk", model, trigger_monitor(), safe_bank(),
-                      fitted_preconditioner(model), small_config(), rng=11)
-    rep = drift_report(rec)
+                      fitted_preconditioner(model), cfg, rng=11)
+    rep = drift_report(rec, cfg.update.max_delta_norm)
     assert rep.ok
     assert rep.final_drift <= rep.delta_norm_sum + 1e-9
     assert rep.delta_norm_sum <= 0.25 * 5 * sum(len(s.rounds) for s in rec.segments) + 1e-9
