@@ -11,7 +11,7 @@ rng = np.random.default_rng(4)
 vocab = Vocabulary(["w0", "w1", "w2"])
 fmap = NgramOneHot(len(vocab), order=2)
 adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=2, alpha=4.0)
-adapter.b = rng.normal(0.0, 0.2, size=adapter.b.shape)
+adapter.b[:] = rng.normal(0.0, 0.2, size=adapter.b.shape)
 model = ToyLM(vocab, rng.normal(0.0, 0.4, size=(len(vocab), fmap.dimension)), adapter, fmap)
 
 context = [0, 1]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import multiprocessing
 import sys
 import typing
 from pathlib import Path
@@ -51,7 +50,7 @@ from .precond import (
     sampling_settings,
 )
 from .safebank import SafeBank
-from .scoring import CUED_TYPES, BiasMonitor, load_lexicon, report_score
+from .scoring import CUED_TYPES, PROMPT_MIN_BIAS, BiasMonitor, load_lexicon, report_score
 from .tta import EpisodeConfig, load_episodes, run_episode, save_episodes, trigger_curve
 
 MANIFEST_KIND = "run-manifest"
@@ -143,7 +142,7 @@ RUN_SCHEMA = {
     "prompts": {
         "path": (str, REQUIRED),
         # the committee score range
-        "min_bias": (float, 0.4, (0.0, 1.0)),
+        "min_bias": (float, PROMPT_MIN_BIAS, (0.0, 1.0)),
         "sample": (int, None, (1, np.inf)),
         "seed": (int, 0, (0, np.inf)),
     },
@@ -446,6 +445,7 @@ def _run_pool(items, jobs: int) -> list:
     pool forks all of them at its first submit), in item order; each episode
     a dead worker leaves unfinished is a failure, not a hang."""
     # imported here, off the start-up path of serial runs
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 

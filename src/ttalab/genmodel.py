@@ -104,61 +104,56 @@ class NgramOneHot:
         return feats
 
 
-@dataclass
 class AdapterParams:
     """Low-rank correction Delta W = (alpha / rank) * B @ A.
 
-    Flattening order is A row-major followed by B row-major; every gradient,
-    Fisher diagonal and update delta in the package uses this layout.
+    The flat vector `phi`, A row-major then B row-major, is the one stored
+    state and the layout of every gradient, Fisher diagonal and update delta
+    in the package; `a` and `b` are views into it that cannot be rebound.
     """
 
-    a: np.ndarray  # (rank, dim)
-    b: np.ndarray  # (vocab, rank)
-    alpha: float = 32.0
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.a.ndim != 2 or self.b.ndim != 2 or self.a.shape[0] != self.b.shape[1]:
+    def __init__(self, a, b, alpha: float = 32.0):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
             raise ValueError("adapter shapes must be A:(rank,dim), B:(vocab,rank)")
+        self.phi = np.concatenate([a.ravel(), b.ravel()])
+        self._shapes = (a.shape, b.shape)
+        self.alpha = alpha
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.split_flat(self.phi)[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.split_flat(self.phi)[1]
 
     @property
     def rank(self) -> int:
-        return self.a.shape[0]
+        return self._shapes[0][0]
 
     @property
     def scale(self) -> float:
         return self.alpha / self.rank
 
-    @property
-    def size(self) -> int:
-        return self.a.size + self.b.size
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.a.ravel(), self.b.ravel()])
-
     def split_flat(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The A and B blocks of a flat vector in this layout, as shaped views."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.size,):
-            raise ValueError(f"expected flat vector of length {self.size}, got {vec.shape}")
-        na = self.a.size
-        return vec[:na].reshape(self.a.shape), vec[na:].reshape(self.b.shape)
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        a, b = self.split_flat(vec)
-        self.a = a.copy()
-        self.b = b.copy()
+        if vec.shape != self.phi.shape:
+            raise ValueError(f"expected flat vector of length {self.phi.size}, got {vec.shape}")
+        (rank, dim), b_shape = self._shapes
+        return vec[:rank * dim].reshape(rank, dim), vec[rank * dim:].reshape(b_shape)
 
     def copy(self) -> "AdapterParams":
-        return AdapterParams(self.a.copy(), self.b.copy(), self.alpha)
+        return AdapterParams(self.a, self.b, self.alpha)  # concatenates: a new phi
 
     def delta(self) -> np.ndarray:
         return self.scale * (self.b @ self.a)
 
     def flat_gradient(self, gw: np.ndarray) -> np.ndarray:
         """Chain rule through W = W_base + s * B @ A: weight gradients `gw` of
-        shape (..., vocab, dim) to flat adapter gradients (..., size)."""
+        shape (..., vocab, dim) to flat adapter gradients (..., len(phi))."""
         lead = gw.shape[:-2]
         ga = self.scale * (self.b.T @ gw)
         gb = self.scale * (gw @ self.a.T)
@@ -249,21 +244,24 @@ class ToyLM:
 
     @property
     def param_count(self) -> int:
-        return self.adapter.size
+        return self.adapter.phi.size
 
     def adapter_flat(self) -> np.ndarray:
-        return self.adapter.flat()
+        return self.adapter.phi.copy()
 
     def set_adapter_flat(self, vec: np.ndarray) -> None:
-        self.adapter.set_flat(vec)
+        self.adapter.split_flat(vec)  # refuses a vector of another length
+        self.adapter.phi[:] = vec
         self._wc = None
 
     def apply_delta(self, delta: np.ndarray) -> None:
-        self.set_adapter_flat(self.adapter_flat() + np.asarray(delta, dtype=np.float64))
+        self.adapter.split_flat(delta)  # a scalar or short delta would broadcast
+        self.adapter.phi += delta
+        self._wc = None
 
     def reset_adapter(self) -> None:
         """Restore the construction-time adapter state, bit for bit."""
-        self.adapter = self.initial_adapter.copy()
+        self.adapter.phi[:] = self.initial_adapter.phi
         self._wc = None
 
     def combined_weight(self) -> np.ndarray:
@@ -331,7 +329,7 @@ class ToyLM:
 
         `batch` is a sequence of (history_ids, target_ids) pairs; the loss is
         -(1/m) * sum_j log p(target_j | history_j). Returns (loss, gradient)
-        from one forward pass; the gradient layout matches AdapterParams.flat
+        from one forward pass; the gradient layout is that of AdapterParams.phi
         (A block then B block). Exact, no sampling.
         """
         if not batch:
@@ -344,6 +342,7 @@ class ToyLM:
     # -- persistence ---------------------------------------------------------
 
     def checkpoint_dict(self) -> dict:
+        """The episode-start model; the current adapter state is not saved."""
         return {
             "kind": CHECKPOINT_KIND,
             "format_version": CHECKPOINT_VERSION,
@@ -352,8 +351,6 @@ class ToyLM:
             "alpha": self.adapter.alpha,
             "rank": self.adapter.rank,
             "w_base": encode_array(self.w_base),
-            "adapter_a": encode_array(self.adapter.a),
-            "adapter_b": encode_array(self.adapter.b),
             "initial_a": encode_array(self.initial_adapter.a),
             "initial_b": encode_array(self.initial_adapter.b),
         }
@@ -369,20 +366,17 @@ class ToyLM:
             raise ValueError(f"unknown feature map {d['feature']['kind']!r}")
         vocab = Vocabulary(d["vocab"])
         fmap = NgramOneHot(len(vocab), order=d["feature"]["order"])
-        adapter = AdapterParams(decode_array(d["adapter_a"]), decode_array(d["adapter_b"]),
+        # an older layout also saved the current state; it loads only when
+        # that state is the episode start, the one state a checkpoint holds
+        if any(d.get(f"adapter_{x}", d[f"initial_{x}"]) != d[f"initial_{x}"] for x in "ab"):
+            raise ValueError(f"{path}: adapter state differs from the episode-start "
+                             "adapter; a checkpoint holds the episode-start model only")
+        adapter = AdapterParams(decode_array(d["initial_a"]), decode_array(d["initial_b"]),
                                 alpha=d["alpha"])
-        model = cls(vocab, decode_array(d["w_base"]), adapter, fmap)
-        model.initial_adapter = AdapterParams(
-            decode_array(d["initial_a"]), decode_array(d["initial_b"]), alpha=d["alpha"])
-        return model
+        return cls(vocab, decode_array(d["w_base"]), adapter, fmap)
 
     def model_digest(self) -> str:
-        """Digest of the structure, base table and episode-start adapter.
-
-        The current adapter state is excluded on purpose: preconditioners are
-        estimated at the episode start point and stay valid across episodes.
-        """
-        d = self.checkpoint_dict()
-        d.pop("adapter_a")
-        d.pop("adapter_b")
-        return digest_obj(d)
+        """Digest of the checkpoint, so of the episode-start adapter and not
+        the current one: preconditioners are estimated at the episode start
+        point and stay valid across episodes."""
+        return digest_obj(self.checkpoint_dict())

@@ -24,6 +24,9 @@ from .artifacts import read_text, write_text
 TYPE_ORDER = ("race", "sex", "religion", "other")
 # the types a cue lexicon gates; `other` always carries the committee mean
 CUED_TYPES = TYPE_ORDER[:-1]
+# the reporting-committee score (`report_score`) a prompt must reach: the
+# bundled prompt pool is built at this floor and `ttalab run` selects at it
+PROMPT_MIN_BIAS = 0.4
 
 _PUNCT = re.compile(r"[^\w\s]+")
 

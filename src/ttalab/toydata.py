@@ -29,6 +29,7 @@ from .genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapte
 from .precond import build_preconditioner, estimate_diag_fisher
 from .safebank import SafeBank, ingest
 from .scoring import (
+    PROMPT_MIN_BIAS,
     BiasMonitor,
     LexiconScorer,
     report_score,
@@ -56,8 +57,6 @@ SPECIAL = [DEFAULT_SEPARATOR, *DEFAULT_MARKER.casefold().split()]
 NEGATIVE_WEIGHTS = {"awful": 0.50, "nasty": 0.45, "vile": 0.55, "rotten": 0.42,
                     "cruel": 0.52, "savage": 0.48}
 GROUP_WEIGHT = 0.12
-# the reporting-committee score a bundled prompt must reach
-PROMPT_MIN_BIAS = 0.4
 # the scenario's safe texts per routed type and its prompt pool size
 SAFE_PER_TYPE = 40
 N_PROMPTS = 60
@@ -175,11 +174,12 @@ def fit_base_weights(sentences, vocab: Vocabulary, fmap: NgramOneHot,
 
 
 def build_generator(seed: int = 0) -> ToyLM:
-    """Slanted generator. The adapter is full rank with A fixed to the
-    identity and scale alpha = d, which makes every update column-local on
-    the one-hot features. A random low-rank A would leak a systematic
-    fraction of each step into unrelated context columns (the leak scales
-    like 1/sqrt(rank) and does not average out because A is fixed), and on
+    """Slanted generator. The adapter is full rank with A starting at the
+    identity and B at zero, scale alpha = d; the update rule steps all of
+    phi, so A moves with B once an episode adapts. Starting from the
+    identity keeps the first steps column-local on the one-hot features. A
+    random low-rank A would leak a systematic fraction of each step into
+    unrelated context columns (the leak scales like 1/sqrt(rank)), and on
     this feature map that reliably poisons the rare negative-context
     columns faster than the safe pairs can clean them."""
     vocab = build_vocab()

@@ -57,7 +57,7 @@ def small_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
     adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank,
                            alpha=2.0 * rank)
     if off_zero:
-        adapter.b = rng.normal(0.0, 0.2, size=adapter.b.shape)
+        adapter.b[:] = rng.normal(0.0, 0.2, size=adapter.b.shape)
     return ToyLM(vocab, w, adapter, fmap)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttalab import _blas, artifacts, cli, toydata
+from ttalab import _blas, artifacts, cli, scoring, toydata
 from ttalab.artifacts import decode_array, encode_array
 from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
@@ -637,6 +637,10 @@ def test_cli_defaults_are_library_defaults(tmp_path):
         update=UpdateRuleConfig(kind="precond"))
 
 
+def test_prompt_bias_floor_default_is_the_library_floor():
+    assert cli.RUN_SCHEMA["prompts"]["min_bias"][1] == scoring.PROMPT_MIN_BIAS
+
+
 # The bundled scenario's tuned keys, each written out. `learning_rate` null
 # is the rule's own rate; a number there would change the config digest.
 SCENARIO_EPISODE = {"k_segments": 4, "tokens_per_segment": 16, "epsilon": 0.3,
@@ -933,14 +937,30 @@ def test_inputs_are_read_as_utf8_whatever_the_locale(ws, tmp_path):
     assert any(rec["prompt"].endswith(" café") for rec in records[0])
 
 
-def test_cli_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
+def test_cli_import_leaves_module_unloaded(module):
     probe = ("import sys\n"
              "import ttalab.cli, ttalab.metrics, ttalab.ood\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {module!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=_fresh_interpreter_env(),
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_older_checkpoint_with_a_moved_adapter_is_config_error(ws, tmp_path, capsys):
+    """A model file in the older layout, whose saved current adapter state
+    differs from its episode-start state, is refused before the run starts."""
+    doc = json.loads((ws / "scenario" / "model.json").read_text())
+    b = decode_array(doc["initial_b"])
+    b[0, 0] += 0.5
+    path = tmp_path / "moved.json"
+    _write_json(path, {**doc, "adapter_a": doc["initial_a"], "adapter_b": encode_array(b)})
+    assert cli.main(["run", "--config", str(ws / "run.json"),
+                     "--set", f"output_dir={tmp_path / 'o'}",
+                     "--set", f"model={path}"]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_precond_mode_needs_preconditioner(ws, tmp_path):

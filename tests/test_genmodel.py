@@ -1,5 +1,6 @@
 """Generator core: vocabulary, features, sampling, gradients, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import (
     reference_sample_segment,
     reference_sequence_log_prob,
 )
+from ttalab.artifacts import encode_array, write_json
 from ttalab.genmodel import (
     AdapterParams,
     GenerationSettings,
@@ -34,7 +36,7 @@ def small_model(seed=0, vocab_size=5, rank=3, alpha=6.0, w_scale=0.5):
     w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
     adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank, alpha=alpha)
     # move off the zero point so both blocks carry signal in gradient tests
-    adapter.b = rng.normal(0.0, 0.3, size=adapter.b.shape)
+    adapter.b[:] = rng.normal(0.0, 0.3, size=adapter.b.shape)
     return ToyLM(vocab, w, adapter, fmap)
 
 
@@ -270,7 +272,7 @@ def test_sample_segment_matches_reference(order, vocab_size, temperature, top_p,
     vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
     fmap = NgramOneHot(vocab_size, order=order) if order else ZeroFeatureMap(2 * vocab_size)
     adapter = init_adapter(rng, vocab_size, fmap.dimension, rank=2, alpha=4.0)
-    adapter.b = rng.normal(0.0, 0.5, size=adapter.b.shape)
+    adapter.b[:] = rng.normal(0.0, 0.5, size=adapter.b.shape)
     m = ToyLM(vocab, rng.normal(0.0, 1.0, size=(vocab_size, fmap.dimension)), adapter, fmap)
     s = GenerationSettings(temperature=temperature, top_p=top_p, tokens_per_segment=24)
     history = list(rng.integers(0, vocab_size, size=int(rng.integers(0, 4))))
@@ -366,7 +368,7 @@ def test_kernel_matches_per_token_oracle(case):
     vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
     fmap = NgramOneHot(vocab_size, order=order) if order else ZeroFeatureMap(2 * vocab_size)
     adapter = init_adapter(rng, vocab_size, fmap.dimension, rank=rank, alpha=2.0 * rank)
-    adapter.b = rng.normal(0.0, 0.5, size=adapter.b.shape)
+    adapter.b[:] = rng.normal(0.0, 0.5, size=adapter.b.shape)
     m = ToyLM(vocab, rng.normal(0.0, 1.0, size=(vocab_size, fmap.dimension)), adapter, fmap)
 
     nll, grad = m.adapter_gradient(batch)
@@ -409,17 +411,45 @@ def test_reset_restores_initial_bits():
     assert m.adapter_flat().tobytes() == before
 
 
+def test_block_views_write_into_phi():
+    m = small_model(seed=15)
+    m.adapter.b[:] = 2.0
+    assert np.all(m.adapter_flat()[m.adapter.a.size:] == 2.0)
+    with pytest.raises(AttributeError):
+        m.adapter.a = np.zeros_like(m.adapter.a)
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
+    """A saved adapted model reloads at its episode-start phi, bit for bit,
+    with the same digest; the file holds no current-state blocks."""
     m = small_model(seed=17)
+    start = m.adapter_flat()
     m.apply_delta(np.linspace(-0.1, 0.1, m.param_count))
     path = tmp_path / "model.json"
     m.save(path)
+    assert not {"adapter_a", "adapter_b"} & json.loads(path.read_text()).keys()
     m2 = ToyLM.load(path)
     assert m2.vocab.tokens == m.vocab.tokens
     assert m2.w_base.tobytes() == m.w_base.tobytes()
-    assert m2.adapter_flat().tobytes() == m.adapter_flat().tobytes()
-    assert m2.initial_adapter.flat().tobytes() == m.initial_adapter.flat().tobytes()
+    assert m2.adapter_flat().tobytes() == start.tobytes()
+    assert m2.initial_adapter.phi.tobytes() == m.initial_adapter.phi.tobytes()
     assert m2.model_digest() == m.model_digest()
+
+
+def test_older_layout_loads_only_at_its_episode_start(tmp_path):
+    """Files that also saved the current state as `adapter_a`/`adapter_b`
+    load when that state is the episode start, and are refused otherwise."""
+    m = small_model(seed=18)
+    doc = {**m.checkpoint_dict(), "adapter_a": encode_array(m.adapter.a),
+           "adapter_b": encode_array(m.adapter.b)}
+    path = tmp_path / "old.json"
+    write_json(path, doc)
+    assert ToyLM.load(path).model_digest() == m.model_digest()
+    m.apply_delta(np.full(m.param_count, 0.01))
+    write_json(path, {**doc, "adapter_b": encode_array(m.adapter.b)})
+    with pytest.raises(ValueError) as err:
+        ToyLM.load(path)
+    assert str(path) in str(err.value)
 
 
 def test_model_digest_tracks_base_not_current_adapter():

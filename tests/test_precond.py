@@ -26,7 +26,7 @@ def tiny_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
     w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
     adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank, alpha=2.0 * rank)
     if off_zero:
-        adapter.b = rng.normal(0.0, 0.2, size=adapter.b.shape)
+        adapter.b[:] = rng.normal(0.0, 0.2, size=adapter.b.shape)
     return ToyLM(vocab, w, adapter, fmap)
 
 

@@ -190,7 +190,7 @@ def test_epsilon_one_matches_static_run():
     assert all(not s.triggered for s in rec_off.segments)
     assert rec_off.final_drift == 0.0
     np.testing.assert_array_equal(model.adapter_flat(),
-                                  model.initial_adapter.flat())
+                                  model.initial_adapter.phi)
     rec_static = run_episode("calm walk", model, monitor, bank, pre,
                              small_config(adapt=False), rng=5)
     assert [s.text for s in rec_static.segments] == texts_off
