@@ -5,7 +5,7 @@
 
 import numpy as np
 
-from ttalab.genmodel import NgramOneHot, ToyLM, Vocabulary, init_adapter
+from ttalab.genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
 from ttalab.optim import AdamWState, adamw_step, precond_step, sgd_step
 from ttalab.oracle import SequenceSpace
 from ttalab.precond import build_preconditioner, estimate_diag_fisher
@@ -14,7 +14,7 @@ rng = np.random.default_rng(2)
 vocab = Vocabulary(["w0", "w1", "w2"])
 fmap = NgramOneHot(len(vocab), order=2)
 adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=2, alpha=4.0)
-adapter.b[:] = rng.normal(0.0, 0.3, size=adapter.b.shape)
+adapter = AdapterParams(adapter.a, rng.normal(0.0, 0.3, size=adapter.b.shape), adapter.alpha)
 model = ToyLM(vocab, rng.normal(0.0, 0.6, size=(len(vocab), fmap.dimension)), adapter, fmap)
 
 context = [0, 1]

@@ -12,6 +12,7 @@ Everything is float64 and deterministic given a seeded Generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,13 @@ def check_ids(tokens, vocab_size: int) -> None:
     """Refuse ids outside 0..vocab_size-1: one would index another block or wrap."""
     if len(tokens) and not 0 <= min(tokens) <= max(tokens) < vocab_size:
         raise ValueError(f"token ids {min(tokens)}..{max(tokens)} outside 0..{vocab_size - 1}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of `a` that numpy refuses to write through."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 class NgramOneHot:
@@ -109,7 +117,10 @@ class AdapterParams:
 
     The flat vector `phi`, A row-major then B row-major, is the one stored
     state and the layout of every gradient, Fisher diagonal and update delta
-    in the package; `a` and `b` are views into it that cannot be rebound.
+    in the package. `phi` and its block views `a` and `b` are read-only: a
+    write through any of them raises ValueError, and none can be rebound.
+    Only `ToyLM`'s three writers change the state, through the private
+    array. `a` and `b` must be finite and `alpha` a finite real > 0.
     """
 
     def __init__(self, a, b, alpha: float = 32.0):
@@ -117,17 +128,33 @@ class AdapterParams:
         b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
             raise ValueError("adapter shapes must be A:(rank,dim), B:(vocab,rank)")
-        self.phi = np.concatenate([a.ravel(), b.ravel()])
+        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                or not (math.isfinite(alpha) and alpha > 0)):
+            raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")
+        self._phi = np.concatenate([a.ravel(), b.ravel()])
+        if not np.isfinite(self._phi).all():
+            raise ValueError("adapter weights A and B must be finite")
         self._shapes = (a.shape, b.shape)
-        self.alpha = alpha
+        self._alpha = alpha
+        # built once; the block reshapes of a read-only view are read-only too
+        self._phi_view = _read_only(self._phi)
+        self._a, self._b = self.split_flat(self._phi_view)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self._phi_view
 
     @property
     def a(self) -> np.ndarray:
-        return self.split_flat(self.phi)[0]
+        return self._a
 
     @property
     def b(self) -> np.ndarray:
-        return self.split_flat(self.phi)[1]
+        return self._b
+
+    @property
+    def alpha(self) -> float:
+        return self._alpha
 
     @property
     def rank(self) -> int:
@@ -140,8 +167,8 @@ class AdapterParams:
     def split_flat(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The A and B blocks of a flat vector in this layout, as shaped views."""
         vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != self.phi.shape:
-            raise ValueError(f"expected flat vector of length {self.phi.size}, got {vec.shape}")
+        if vec.shape != self._phi.shape:
+            raise ValueError(f"expected flat vector of length {self._phi.size}, got {vec.shape}")
         (rank, dim), b_shape = self._shapes
         return vec[:rank * dim].reshape(rank, dim), vec[rank * dim:].reshape(b_shape)
 
@@ -223,55 +250,76 @@ class ToyLM:
     """Feature-map generator plus adapter, with episodic reset support.
 
     The adapter state at construction time is remembered as the episode
-    start point; `reset_adapter` restores it bit-exactly.
+    start point; `reset_adapter` restores it bit-exactly. The model keeps
+    its own copies of `w_base` and of the adapter state. Every weight array
+    it exposes is read-only, and only `set_adapter_flat`, `apply_delta` and
+    `reset_adapter` write, so the cached W_base + Delta W cannot go stale.
+    `w_base` must be finite.
     """
 
     def __init__(self, vocab: Vocabulary, w_base: np.ndarray, adapter: AdapterParams,
                  fmap=None):
         self.vocab = vocab
         self.fmap = fmap if fmap is not None else NgramOneHot(len(vocab))
-        self.w_base = np.asarray(w_base, dtype=np.float64)
-        if self.w_base.shape != (len(vocab), self.fmap.dimension):
+        w_base = np.array(w_base, dtype=np.float64)  # a copy: no caller can write it
+        if w_base.shape != (len(vocab), self.fmap.dimension):
             raise ValueError(
-                f"w_base must be ({len(vocab)}, {self.fmap.dimension}), got {self.w_base.shape}")
+                f"w_base must be ({len(vocab)}, {self.fmap.dimension}), got {w_base.shape}")
+        if not np.isfinite(w_base).all():
+            raise ValueError("w_base must be finite")
         if adapter.a.shape[1] != self.fmap.dimension or adapter.b.shape[0] != len(vocab):
             raise ValueError("adapter dimensions do not match model")
-        self.adapter = adapter
-        self.initial_adapter = adapter.copy()
+        w_base.flags.writeable = False
+        self._w_base = w_base
+        # the one adapter this model writes; `adapter` itself is never written
+        self._adapter = adapter.copy()
+        self._initial_adapter = adapter
         self._wc = None
 
     # -- parameter plumbing ------------------------------------------------
 
     @property
+    def w_base(self) -> np.ndarray:
+        return self._w_base
+
+    @property
+    def adapter(self) -> AdapterParams:
+        return self._adapter
+
+    @property
+    def initial_adapter(self) -> AdapterParams:
+        return self._initial_adapter
+
+    @property
     def param_count(self) -> int:
-        return self.adapter.phi.size
+        return self._adapter.phi.size
 
     def adapter_flat(self) -> np.ndarray:
-        return self.adapter.phi.copy()
+        return self._adapter.phi.copy()
 
     def set_adapter_flat(self, vec: np.ndarray) -> None:
-        self.adapter.split_flat(vec)  # refuses a vector of another length
-        self.adapter.phi[:] = vec
+        self._adapter.split_flat(vec)  # refuses a vector of another length
+        self._adapter._phi[:] = vec
         self._wc = None
 
     def apply_delta(self, delta: np.ndarray) -> None:
-        self.adapter.split_flat(delta)  # a scalar or short delta would broadcast
-        self.adapter.phi += delta
+        self._adapter.split_flat(delta)  # a scalar or short delta would broadcast
+        self._adapter._phi += delta
         self._wc = None
 
     def reset_adapter(self) -> None:
         """Restore the construction-time adapter state, bit for bit."""
-        self.adapter.phi[:] = self.initial_adapter.phi
+        self._adapter._phi[:] = self._initial_adapter.phi
         self._wc = None
 
     def combined_weight(self) -> np.ndarray:
         if self._wc is None:
-            self._wc = self.w_base + self.adapter.delta()
+            self._wc = _read_only(self._w_base + self._adapter.delta())
         return self._wc
 
     def clone(self) -> "ToyLM":
-        m = ToyLM(self.vocab, self.w_base.copy(), self.adapter.copy(), self.fmap)
-        m.initial_adapter = self.initial_adapter.copy()
+        m = ToyLM(self.vocab, self._w_base, self._initial_adapter, self.fmap)
+        m.set_adapter_flat(self._adapter.phi)
         return m
 
     # -- scoring and sampling ----------------------------------------------
@@ -373,6 +421,9 @@ class ToyLM:
                              "adapter; a checkpoint holds the episode-start model only")
         adapter = AdapterParams(decode_array(d["initial_a"]), decode_array(d["initial_b"]),
                                 alpha=d["alpha"])
+        if d["rank"] != adapter.rank:  # a restated value must agree with its source
+            raise ValueError(f"{path}: stored rank {d['rank']!r} differs from "
+                             f"initial_a's {adapter.rank} rows")
         return cls(vocab, decode_array(d["w_base"]), adapter, fmap)
 
     def model_digest(self) -> str:

@@ -84,7 +84,9 @@ def save_lexicon(path, terms: dict[str, float]) -> None:
 
 
 def load_lexicon(path, scorer_id: str | None = None) -> LexiconScorer:
-    """Parse a `term<TAB>weight` file; `#` starts a comment line."""
+    """Parse a `term<TAB>weight` file; `#` starts a comment line. A file
+    with no terms is refused: it would always score 0, lowering a committee
+    mean or switching a cue type off without a word."""
     terms: dict[str, float] = {}
     for ln, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -97,6 +99,8 @@ def load_lexicon(path, scorer_id: str | None = None) -> LexiconScorer:
             terms[term.strip()] = float(weight)
         except ValueError as exc:
             raise ValueError(f"{path}:{ln}: bad weight {weight!r}") from exc
+    if not terms:
+        raise ValueError(f"{path}: lexicon has no terms")
     return LexiconScorer(scorer_id or Path(path).stem, terms)
 
 

@@ -148,7 +148,7 @@ def _update_round(model, pairs, cfg: UpdateRuleConfig, phi0, pre_diag,
     for _ in range(cfg.steps):
         loss, grad = model.adapter_gradient(pairs)
         losses.append(loss)
-        phi = model.adapter_flat()
+        phi = model.adapter.phi  # read-only, and unchanged until apply_delta
         if cfg.lambda_reg:
             grad = grad + cfg.lambda_reg * (phi - phi0)
         g = clip_gradient(grad, cfg.clip_coef)
@@ -178,7 +178,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
     config.validate()
     episode_start = time.perf_counter()
     model.reset_adapter()
-    phi0 = model.adapter_flat()
+    phi0 = model.initial_adapter.phi
 
     cfg = config.update
     pre_diag = None
@@ -241,7 +241,7 @@ def run_episode(prompt: str, model, monitor, bank, preconditioner,
                                             [e.text for e in entries]))
             update_total += time.perf_counter() - t1
 
-        drift = float(np.linalg.norm(model.adapter_flat() - phi0))
+        drift = float(np.linalg.norm(model.adapter.phi - phi0))
         segments.append(SegmentLog(index=k, text=text, trigger_score=score,
                                    triggered=triggered, routed_type=routed_type,
                                    triggered_types=triggered_types, rounds=rounds,

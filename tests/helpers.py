@@ -9,7 +9,7 @@ import os
 import numpy as np
 
 from ttalab import _blas
-from ttalab.genmodel import softmax
+from ttalab.genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter, softmax
 from ttalab.optim import (
     AdamWState,
     adamw_step,
@@ -60,6 +60,20 @@ class BernoulliModel:
                 nll -= logp[y]
                 total += (1.0 - self.p1) if y == 1 else -self.p1
         return float(nll) / len(batch), np.array([-total / len(batch)])
+
+
+def tiny_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
+    """Small order-2 model. Off zero (the default), B is drawn after A, so
+    both adapter blocks carry signal in gradient and Fisher tests."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
+    fmap = NgramOneHot(len(vocab), order=2)
+    w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
+    adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank, alpha=2.0 * rank)
+    if off_zero:
+        adapter = AdapterParams(adapter.a, rng.normal(0.0, 0.2, size=adapter.b.shape),
+                                adapter.alpha)
+    return ToyLM(vocab, w, adapter, fmap)
 
 
 class ZeroFeatureMap:

@@ -12,15 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import BernoulliModel, FixedScorer, brute_force_fisher
+from helpers import BernoulliModel, FixedScorer, brute_force_fisher, tiny_model
 from ttalab import cli, ood as oodmod, toydata
-from ttalab.genmodel import (
-    AdapterParams,
-    NgramOneHot,
-    ToyLM,
-    Vocabulary,
-    init_adapter,
-)
+from ttalab.genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary
 from ttalab.metrics import did_single, fleiss_kappa, fluency, perplexity
 from ttalab.optim import (
     AdamWState,
@@ -47,18 +41,6 @@ from ttalab.precond import (
 )
 from ttalab.scoring import committee_score, is_safe, route_types, should_trigger
 from ttalab.tta import run_episode, trigger_curve
-
-
-def small_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
-    rng = np.random.default_rng(seed)
-    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
-    fmap = NgramOneHot(len(vocab), order=2)
-    w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
-    adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank,
-                           alpha=2.0 * rank)
-    if off_zero:
-        adapter.b[:] = rng.normal(0.0, 0.2, size=adapter.b.shape)
-    return ToyLM(vocab, w, adapter, fmap)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +130,7 @@ def test_criterion_02_preconditioner_identity_and_mc_fisher():
 
     # four-token model: enumeration oracle gives the exact value and the
     # exact sampling variance of each squared score, again a 3-SE band
-    model = small_model(seed=13, vocab_size=4)
+    model = tiny_model(seed=13, vocab_size=4)
     ctx = [0, 1]
     est = estimate_diag_fisher(model, [ctx], n_steps=n_samples // 2, batch_size=2,
                                continuation_tokens=2, seed=3)
@@ -174,7 +156,7 @@ def test_criterion_03_kl_fisher_expansion():
     started = time.perf_counter()
     rng = np.random.default_rng(2)
     for i in range(50):
-        model = small_model(seed=100 + i, vocab_size=3 + (i % 2))
+        model = tiny_model(seed=100 + i, vocab_size=3 + (i % 2))
         delta = rng.normal(size=model.param_count)
         delta *= 0.4 / np.linalg.norm(delta)
         rows = kl_vs_fisher_quadratic(model, [0], 2, delta)
@@ -190,7 +172,7 @@ def test_criterion_03_kl_fisher_expansion():
 
 def test_criterion_04_gradient_statistics():
     started = time.perf_counter()
-    model = small_model(seed=20)
+    model = tiny_model(seed=20)
     ctx = model.vocab.encode("w0 w1")
     rng = np.random.default_rng(0)
     support = [list(rng.integers(0, len(model.vocab), size=3)) for _ in range(6)]
@@ -207,7 +189,7 @@ def test_criterion_04_gradient_statistics():
 
 def test_criterion_05_descent_bound():
     started = time.perf_counter()
-    model = small_model(seed=30)
+    model = tiny_model(seed=30)
     ctx = model.vocab.encode("w0 w1")
     space = SequenceSpace(model, ctx, length=2)
     fisher = space.fisher_diag(model.adapter_flat())

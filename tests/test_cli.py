@@ -963,6 +963,64 @@ def test_older_checkpoint_with_a_moved_adapter_is_config_error(ws, tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+def _edit_array(key, value):
+    def edit(doc):
+        arr = decode_array(doc[key])
+        arr.flat[0] = value
+        return {**doc, key: encode_array(arr)}
+    return edit
+
+
+# edits that a model file must not pass at load
+MODEL_EDITS = {
+    "w_base-nan": _edit_array("w_base", np.nan),
+    "w_base-inf": _edit_array("w_base", np.inf),
+    "initial_a-nan": _edit_array("initial_a", np.nan),
+    "initial_b-inf": _edit_array("initial_b", -np.inf),
+    "alpha-nan": lambda doc: {**doc, "alpha": float("nan")},
+    "alpha-str": lambda doc: {**doc, "alpha": "x"},
+    "alpha-zero": lambda doc: {**doc, "alpha": 0},
+    "alpha-bool": lambda doc: {**doc, "alpha": True},
+    "rank": lambda doc: {**doc, "rank": doc["rank"] + 1},
+}
+
+
+@pytest.mark.parametrize("edit", MODEL_EDITS)
+@pytest.mark.parametrize("command, key", [("run", "model"), ("run", "evaluator"),
+                                          ("precompute", "model")])
+def test_bad_model_file_exits_2_before_any_work(ws, tmp_path, capsys, monkeypatch,
+                                                command, key, edit):
+    """A model file with a non-finite array, an alpha that is not a finite
+    number > 0 or a rank that disagrees with its arrays is refused at load,
+    naming its path, before any episode or estimate and any output."""
+    monkeypatch.setattr(cli, "run_episode", _refuse_episode)
+    monkeypatch.setattr(cli, "estimate_diag_fisher", _refuse_estimate)
+    doc = json.loads((ws / "scenario" / f"{key}.json").read_text())
+    path = tmp_path / "edited.json"
+    _write_json(path, MODEL_EDITS[edit](doc))
+    out = tmp_path / "sub" / "out"
+    setting = f"output_dir={out}" if command == "run" else f"output={out}"
+    assert cli.main([command, "--config", str(ws / f"{command}.json"),
+                     "--set", setting, "--set", f"{key}={path}"]) == 2
+    assert f"{path}: not a readable model artifact" in capsys.readouterr().err
+    assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize("name", ["trigger_1.tsv", "report_0.tsv", "cue_sex.tsv"])
+def test_lexicon_with_no_terms_is_config_error(ws, tmp_path, capsys, monkeypatch, name):
+    """An empty member would lower its committee's mean, an empty cue
+    lexicon would switch its type off; both are refused at load."""
+    monkeypatch.setattr(cli, "run_episode", _refuse_episode)
+    shutil.copytree(ws / "scenario", tmp_path / "scenario")
+    shutil.copy(ws / "precond.json", tmp_path / "precond.json")
+    path = tmp_path / "scenario" / name
+    path.write_text("# no terms\n\n")
+    _write_json(tmp_path / "run.json", _run_config("out"))
+    assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 2
+    assert f"{path}: lexicon has no terms" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_precond_mode_needs_preconditioner(ws, tmp_path):
     assert cli.main(["run", "--config", str(ws / "run.json"),
                      "--set", f"output_dir={tmp_path / 'o'}",

@@ -36,7 +36,7 @@ def small_model(seed=0, vocab_size=5, rank=3, alpha=6.0, w_scale=0.5):
     w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
     adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank, alpha=alpha)
     # move off the zero point so both blocks carry signal in gradient tests
-    adapter.b[:] = rng.normal(0.0, 0.3, size=adapter.b.shape)
+    adapter = AdapterParams(adapter.a, rng.normal(0.0, 0.3, size=adapter.b.shape), alpha)
     return ToyLM(vocab, w, adapter, fmap)
 
 
@@ -121,8 +121,7 @@ def test_out_of_vocabulary_ids_rejected(bad):
 
 def test_zero_adapter_logits_match_base_table():
     m = small_model()
-    m.adapter.b[:] = 0.0
-    m._wc = None
+    m.set_adapter_flat(np.concatenate([m.adapter.a.ravel(), np.zeros(m.adapter.b.size)]))
     h = [1, 2]
     expected = m.w_base @ m.fmap.rows([(h, 2)])[0]
     np.testing.assert_allclose(reference_logits(m, h), expected, atol=1e-12)
@@ -272,7 +271,8 @@ def test_sample_segment_matches_reference(order, vocab_size, temperature, top_p,
     vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
     fmap = NgramOneHot(vocab_size, order=order) if order else ZeroFeatureMap(2 * vocab_size)
     adapter = init_adapter(rng, vocab_size, fmap.dimension, rank=2, alpha=4.0)
-    adapter.b[:] = rng.normal(0.0, 0.5, size=adapter.b.shape)
+    adapter = AdapterParams(adapter.a, rng.normal(0.0, 0.5, size=adapter.b.shape),
+                            adapter.alpha)
     m = ToyLM(vocab, rng.normal(0.0, 1.0, size=(vocab_size, fmap.dimension)), adapter, fmap)
     s = GenerationSettings(temperature=temperature, top_p=top_p, tokens_per_segment=24)
     history = list(rng.integers(0, vocab_size, size=int(rng.integers(0, 4))))
@@ -368,7 +368,8 @@ def test_kernel_matches_per_token_oracle(case):
     vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
     fmap = NgramOneHot(vocab_size, order=order) if order else ZeroFeatureMap(2 * vocab_size)
     adapter = init_adapter(rng, vocab_size, fmap.dimension, rank=rank, alpha=2.0 * rank)
-    adapter.b[:] = rng.normal(0.0, 0.5, size=adapter.b.shape)
+    adapter = AdapterParams(adapter.a, rng.normal(0.0, 0.5, size=adapter.b.shape),
+                            adapter.alpha)
     m = ToyLM(vocab, rng.normal(0.0, 1.0, size=(vocab_size, fmap.dimension)), adapter, fmap)
 
     nll, grad = m.adapter_gradient(batch)
@@ -411,12 +412,112 @@ def test_reset_restores_initial_bits():
     assert m.adapter_flat().tobytes() == before
 
 
-def test_block_views_write_into_phi():
+WEIGHT_ARRAYS = {
+    "phi": lambda m: m.adapter.phi,
+    "a": lambda m: m.adapter.a,
+    "b": lambda m: m.adapter.b,
+    "initial-phi": lambda m: m.initial_adapter.phi,
+    "initial-a": lambda m: m.initial_adapter.a,
+    "initial-b": lambda m: m.initial_adapter.b,
+    "w_base": lambda m: m.w_base,
+    "combined": lambda m: m.combined_weight(),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_ARRAYS)
+def test_a_write_into_a_weight_array_raises(name):
+    """Numpy refuses every write into a weight array the model exposes, so
+    the weights and the cached log-probs stay as they were."""
     m = small_model(seed=15)
-    m.adapter.b[:] = 2.0
-    assert np.all(m.adapter_flat()[m.adapter.a.size:] == 2.0)
-    with pytest.raises(AttributeError):
-        m.adapter.a = np.zeros_like(m.adapter.a)
+    target, history = [2, 3, 1], [0, 4]
+    start = m.sequence_log_prob(target, history)
+    phi, w = m.adapter_flat(), m.w_base.copy()
+    view = WEIGHT_ARRAYS[name](m)
+    with pytest.raises(ValueError, match="read-only"):
+        view[...] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(view, 1.0, out=view)
+    assert m.adapter_flat().tobytes() == phi.tobytes()
+    assert m.initial_adapter.phi.tobytes() == phi.tobytes()
+    assert m.w_base.tobytes() == w.tobytes()
+    assert m.sequence_log_prob(target, history) == start
+
+
+def test_only_the_writers_move_the_weights():
+    """No weight array or adapter can be rebound; `set_adapter_flat` moves
+    the state and the log-probs together."""
+    m = small_model(seed=15)
+    for name in ("a", "b", "phi", "alpha"):
+        with pytest.raises(AttributeError):
+            setattr(m.adapter, name, getattr(m.adapter, name))
+    for name in ("w_base", "adapter", "initial_adapter"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+    target, history = [2, 3, 1], [0, 4]
+    start = m.sequence_log_prob(target, history)
+    moved = m.adapter_flat()
+    moved[m.adapter.a.size:] = 2.0
+    m.set_adapter_flat(moved)
+    assert np.all(m.adapter.b == 2.0)
+    assert m.sequence_log_prob(target, history) != start
+    assert m.sequence_log_prob(target, history) == pytest.approx(
+        reference_sequence_log_prob(m, target, history), rel=1e-12)
+
+
+def test_model_keeps_its_own_weights():
+    """Writes into the arrays and adapter a model was built from reach
+    neither the model nor its cached log-probs."""
+    rng = np.random.default_rng(16)
+    vocab = Vocabulary(["w0", "w1", "w2", "w3"])
+    fmap = NgramOneHot(len(vocab), order=2)
+    w = rng.normal(0.0, 0.5, size=(len(vocab), fmap.dimension))
+    a = rng.normal(0.0, 0.3, size=(2, fmap.dimension))
+    b = rng.normal(0.0, 0.3, size=(len(vocab), 2))
+    adapter = AdapterParams(a, b, alpha=4.0)
+    m = ToyLM(vocab, w, adapter, fmap)
+    other = ToyLM(vocab, w, adapter, fmap)
+    start = m.sequence_log_prob([1, 2], [0])
+    w[0] += 3.0
+    a[:] = 0.0
+    b[:] = 0.0
+    other.apply_delta(np.full(other.param_count, 0.5))
+    assert not np.shares_memory(m.w_base, w)
+    assert m.sequence_log_prob([1, 2], [0]) == start
+    assert ToyLM(vocab, m.w_base, m.initial_adapter, fmap).sequence_log_prob(
+        [1, 2], [0]) == start
+
+
+@pytest.mark.parametrize("a, b, alpha", [
+    (np.full((1, 6), np.nan), np.zeros((3, 1)), 1.0),
+    (np.zeros((1, 6)), np.full((3, 1), np.inf), 1.0),
+    (np.zeros((1, 6)), np.zeros((3, 1)), float("nan")),
+    (np.zeros((1, 6)), np.zeros((3, 1)), float("inf")),
+    (np.zeros((1, 6)), np.zeros((3, 1)), 0.0),
+    (np.zeros((1, 6)), np.zeros((3, 1)), -2.0),
+    (np.zeros((1, 6)), np.zeros((3, 1)), "x"),
+    (np.zeros((1, 6)), np.zeros((3, 1)), True),
+], ids=["a-nan", "b-inf", "alpha-nan", "alpha-inf", "alpha-0", "alpha-neg", "alpha-str",
+        "alpha-bool"])
+def test_adapter_refuses_non_finite_weights_and_bad_alpha(a, b, alpha):
+    with pytest.raises(ValueError):
+        AdapterParams(a, b, alpha=alpha)
+
+
+def test_model_refuses_non_finite_base_weights():
+    v = Vocabulary(["a", "b"])
+    w = np.zeros((3, 6))
+    w[1, 2] = np.nan
+    with pytest.raises(ValueError, match="w_base must be finite"):
+        ToyLM(v, w, AdapterParams(np.zeros((1, 6)), np.zeros((3, 1)), alpha=1.0))
+
+
+def test_load_refuses_a_rank_that_disagrees_with_the_arrays(tmp_path):
+    m = small_model(seed=14)
+    path = tmp_path / "model.json"
+    write_json(path, {**m.checkpoint_dict(), "rank": m.adapter.rank + 1})
+    with pytest.raises(ValueError, match="rank") as err:
+        ToyLM.load(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -457,9 +558,9 @@ def test_model_digest_tracks_base_not_current_adapter():
     d0 = m.model_digest()
     m.apply_delta(np.full(m.param_count, 0.02))
     assert m.model_digest() == d0
-    m.w_base[0, 0] += 1.0
-    m._wc = None
-    assert m.model_digest() != d0
+    w = m.w_base.copy()
+    w[0, 0] += 1.0
+    assert ToyLM(m.vocab, w, m.initial_adapter, m.fmap).model_digest() != d0
 
 
 def test_load_rejects_wrong_kind(tmp_path):

@@ -19,18 +19,7 @@ from ttalab.oracle import (
     solve_beta,
     tilt,
 )
-from helpers import brute_force_fisher
-
-
-def tiny_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
-    rng = np.random.default_rng(seed)
-    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
-    fmap = NgramOneHot(len(vocab), order=2)
-    w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
-    adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank, alpha=2.0 * rank)
-    if off_zero:
-        adapter.b[:] = rng.normal(0.0, 0.2, size=adapter.b.shape)
-    return ToyLM(vocab, w, adapter, fmap)
+from helpers import brute_force_fisher, tiny_model
 
 
 # -- tilt and solve_beta -------------------------------------------------------

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import BernoulliModel, ZeroFeatureMap, brute_force_fisher
+from helpers import BernoulliModel, ZeroFeatureMap, brute_force_fisher, tiny_model
 from ttalab.artifacts import decode_array, encode_array
-from ttalab.genmodel import AdapterParams, NgramOneHot, ToyLM, Vocabulary, init_adapter
+from ttalab.genmodel import AdapterParams, ToyLM, Vocabulary
 from ttalab.oracle import SequenceSpace
 from ttalab.precond import (
     DigestMismatchError,
@@ -17,17 +17,6 @@ from ttalab.precond import (
     build_preconditioner,
     estimate_diag_fisher,
 )
-
-
-def tiny_model(seed=0, vocab_size=4, rank=2, w_scale=0.4, off_zero=True):
-    rng = np.random.default_rng(seed)
-    vocab = Vocabulary([f"w{i}" for i in range(vocab_size - 1)])
-    fmap = NgramOneHot(len(vocab), order=2)
-    w = rng.normal(0.0, w_scale, size=(len(vocab), fmap.dimension))
-    adapter = init_adapter(rng, len(vocab), fmap.dimension, rank=rank, alpha=2.0 * rank)
-    if off_zero:
-        adapter.b[:] = rng.normal(0.0, 0.2, size=adapter.b.shape)
-    return ToyLM(vocab, w, adapter, fmap)
 
 
 # -- build_preconditioner -------------------------------------------------------
@@ -145,9 +134,9 @@ def test_exact_fisher_degenerate_distribution_is_flat():
     # one token takes essentially all probability mass: the score variance
     # collapses
     model = tiny_model(seed=1, vocab_size=3, w_scale=0.0)
-    model.w_base[:, :] = 0.0
-    model.w_base[1, :] = 40.0
-    model._wc = None
+    w = np.zeros_like(model.w_base)
+    w[1, :] = 40.0
+    model = ToyLM(model.vocab, w, model.initial_adapter, model.fmap)
     diag = SequenceSpace(model, [1, 1], length=2).fisher_diag()
     assert float(np.max(np.abs(diag))) < 1e-8
 
