@@ -151,7 +151,7 @@ RUN_SCHEMA = {
     "update": _signature_schema(UpdateRuleConfig, skip=("kind",)),
 }
 
-_KNN = _signature_schema(oodmod.knn_score)
+_KNN = _signature_schema(oodmod.knn_scores)
 _EVALUATE = _signature_schema(oodmod.evaluate)
 OOD_SCHEMA = {
     "model": (str, None),
@@ -693,7 +693,7 @@ def cmd_ablate(args) -> int:
 # -- ood ---------------------------------------------------------------------------
 
 
-def _embedding_set(cfg: dict, section: str, model, label: str):
+def _embedding_set(cfg: dict, section: str, model):
     """The section's embeddings, and its text lines (None when it gives an
     embeddings file)."""
     spec = cfg[section]
@@ -713,7 +713,7 @@ def _embedding_set(cfg: dict, section: str, model, label: str):
     if not texts:
         raise CliError(EXIT_CONFIG, f"text file {path} is empty")
     # the digest names the input without tying the output to where it lives
-    return oodmod.embed_corpus(model, texts, label=label, source=file_digest(path)), texts
+    return oodmod.embed_corpus(model, texts, label=section, source=file_digest(path)), texts
 
 
 def cmd_ood(args) -> int:
@@ -734,9 +734,14 @@ def cmd_ood(args) -> int:
         bg = _load("model", ToyLM.load, _resolve(cfg, "background_model"))
     model = _load("model", ToyLM.load, _resolve(cfg, "model")) if cfg["model"] else None
 
-    reference, _ = _embedding_set(cfg, "reference", model, "reference")
-    id_set, id_texts = _embedding_set(cfg, "id", model, "id")
-    ood_set, ood_texts = _embedding_set(cfg, "ood", model, "ood")
+    sets, texts = {}, {}
+    for name in ("reference", "id", "ood"):
+        sets[name], texts[name] = _embedding_set(cfg, name, model)
+    widths = {name: es.dim for name, es in sets.items()}
+    if len(set(widths.values())) > 1:
+        raise CliError(EXIT_CONFIG, "ood config sections differ in embedding width: "
+                                    + ", ".join(f"{n!r} {w}" for n, w in widths.items()))
+    reference = sets["reference"].vectors
     if "knn" in cfg["detectors"] and cfg["k"] > len(reference):
         raise CliError(EXIT_CONFIG, f"k={cfg['k']} out of range for a reference set "
                                     f"of {len(reference)} vectors")
@@ -745,27 +750,23 @@ def cmd_ood(args) -> int:
     results = []
     for det in cfg["detectors"]:
         if det == "knn":
-            s_ood = np.array([oodmod.knn_score(v, reference.vectors, k=cfg["k"])
-                              for v in ood_set.vectors])
-            s_id = np.array([oodmod.knn_score(v, reference.vectors, k=cfg["k"])
-                             for v in id_set.vectors])
+            s_ood = oodmod.knn_scores(sets["ood"].vectors, reference, k=cfg["k"])
+            s_id = oodmod.knn_scores(sets["id"].vectors, reference, k=cfg["k"])
         elif det == "mahalanobis":
-            mu, sigma = oodmod.fit_gaussian(reference.vectors)
+            mu, sigma = oodmod.fit_gaussian(reference)
             try:
-                s_ood = np.array([oodmod.mahalanobis_score(v, mu, sigma)
-                                  for v in ood_set.vectors])
-                s_id = np.array([oodmod.mahalanobis_score(v, mu, sigma)
-                                 for v in id_set.vectors])
+                s_ood = oodmod.mahalanobis_scores(sets["ood"].vectors, mu, sigma)
+                s_id = oodmod.mahalanobis_scores(sets["id"].vectors, mu, sigma)
             except np.linalg.LinAlgError as exc:
                 raise CliError(EXIT_CONFIG, f"ood config section 'reference': {exc}")
         else:
-            s_id = np.array([oodmod.llr_score(t, model, bg) for t in id_texts])
-            s_ood = np.array([oodmod.llr_score(t, model, bg) for t in ood_texts])
+            s_ood = oodmod.llr_scores(texts["ood"], model, bg)
+            s_id = oodmod.llr_scores(texts["id"], model, bg)
         results.append(oodmod.evaluate(s_ood, s_id, bootstrap_n=cfg["bootstrap"],
                                        seed=cfg["seed"], detector=det))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, es in (("reference", reference), ("id", id_set), ("ood", ood_set)):
+    for name, es in sets.items():
         es.save(out_dir / OOD_FILES[name])
     header = ("detector", "auroc", "ci_low", "ci_high", "aupr", "far_ood",
               "n_ood", "n_id")

@@ -87,14 +87,17 @@ def embed_corpus(model, texts, label: str = "candidate",
 # -- detectors -------------------------------------------------------------------
 
 
-def knn_score(query, reference, k: int = 10) -> float:
-    """Euclidean distance to the k-th nearest reference vector."""
+def knn_scores(queries, reference, k: int = 10) -> np.ndarray:
+    """Euclidean distance from each query to its k-th nearest reference vector,
+    one query at a time: a queries x reference x d array would not fit."""
     ref = np.asarray(reference, dtype=np.float64)
-    q = np.asarray(query, dtype=np.float64)
     if k < 1 or k > ref.shape[0]:
         raise ValueError(f"k={k} out of range for reference of size {ref.shape[0]}")
-    dists = np.linalg.norm(ref - q, axis=1)
-    return float(np.partition(dists, k - 1)[k - 1])
+    qs = np.asarray(queries, dtype=np.float64)
+    scores = np.empty(len(qs))
+    for n, q in enumerate(qs):
+        scores[n] = np.partition(np.linalg.norm(ref - q, axis=1), k - 1)[k - 1]
+    return scores
 
 
 def fit_gaussian(reference) -> tuple[np.ndarray, np.ndarray]:
@@ -106,36 +109,32 @@ def fit_gaussian(reference) -> tuple[np.ndarray, np.ndarray]:
     return mu, sigma
 
 
-def default_shrinkage(sigma: np.ndarray) -> float:
-    # small toy reference sets leave the raw covariance ill-conditioned
-    return 1e-3 * float(np.trace(sigma)) / sigma.shape[0]
-
-
-def mahalanobis_score(query, mu, sigma, shrinkage: float | None = None) -> float:
-    """sqrt((x-mu)^T (Sigma + gamma I)^(-1) (x-mu)) with shrinkage gamma."""
-    q = np.asarray(query, dtype=np.float64)
+def mahalanobis_scores(queries, mu, sigma, shrinkage: float | None = None) -> np.ndarray:
+    """sqrt((x-mu)^T (Sigma + gamma I)^(-1) (x-mu)) for each query x, with
+    shrinkage gamma. One Cholesky factor serves every query."""
+    qs = np.asarray(queries, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    gamma = default_shrinkage(sigma) if shrinkage is None else float(shrinkage)
-    reg = sigma + gamma * np.eye(sigma.shape[0])
-    diff = q - mu
+    dim = sigma.shape[0]
+    # small toy reference sets leave the raw covariance ill-conditioned
+    gamma = 1e-3 * float(np.trace(sigma)) / dim if shrinkage is None else float(shrinkage)
     try:
-        chol = np.linalg.cholesky(reg)
+        chol = np.linalg.cholesky(sigma + gamma * np.eye(dim))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"regularized covariance is singular (gamma={gamma})") from exc
-    y = np.linalg.solve(chol, diff)
-    return float(np.sqrt(y @ y))
+    scores = np.empty(len(qs))
+    for n, q in enumerate(qs):
+        y = np.linalg.solve(chol, q - mu)
+        scores[n] = np.sqrt(y @ y)
+    return scores
 
 
-def llr_score(text, foreground, background) -> float:
-    """log p_bg(text) - log p_fg(text); higher means more OOD for the foreground."""
-    if isinstance(text, str):
-        toks_fg = foreground.vocab.encode(text)
-        toks_bg = background.vocab.encode(text)
-    else:
-        toks_fg = toks_bg = [int(t) for t in text]
-    return background.sequence_log_prob(toks_bg) - foreground.sequence_log_prob(toks_fg)
+def llr_scores(texts, foreground, background) -> np.ndarray:
+    """log p_bg(t) - log p_fg(t) per text t; higher is more OOD for the foreground."""
+    return np.array([background.sequence_log_prob(background.vocab.encode(t))
+                     - foreground.sequence_log_prob(foreground.vocab.encode(t))
+                     for t in texts], dtype=np.float64)
 
 
 # -- evaluation ------------------------------------------------------------------

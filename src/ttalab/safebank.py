@@ -6,7 +6,8 @@ generic corpus is the uncapped-by-type fallback tier. Banks are immutable
 after ingest and stored in canonical (type, text) order so that
 re-ingesting a persisted bank reproduces it byte for byte. `load` checks
 typed entries against the same `SAFE_FILTER` and refuses a bank whose
-header names another filter.
+header names another filter. Every entry's text has at least one word, so
+it encodes to at least one token under any vocabulary.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ class SafeEntry:
     text: str
     type: str
     score: float
+
+    def __post_init__(self):
+        # an update trains on the entry's tokens: one per whitespace-separated
+        # word, `<unk>` for a word outside the vocabulary
+        if not isinstance(self.text, str) or not self.text.split():
+            raise ValueError(f"safe entry text must be a string with at least one "
+                             f"word, got {self.text!r}")
 
 
 class SafeBank:
@@ -79,7 +87,10 @@ class SafeBank:
         entries: dict[str, list[SafeEntry]] = {t: [] for t in TYPE_ORDER}
         generic: list[SafeEntry] = []
         for rec in records:
-            entry = SafeEntry(rec["text"], rec["type"], float(rec["score"]))
+            try:
+                entry = SafeEntry(rec["text"], rec["type"], float(rec["score"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             if entry.type == "generic":
                 generic.append(entry)
                 continue

@@ -133,13 +133,7 @@ def aligned_pairs(history_ids, entries, vocab):
     The whole history goes in; the feature map reads only its last `order`
     tokens."""
     context = list(history_ids) + vocab.encode(DEFAULT_SEPARATOR)
-    pairs = []
-    for entry in entries:
-        target = vocab.encode(entry.text)
-        if not target:
-            raise ValueError(f"safe entry decodes to no tokens: {entry.text!r}")
-        pairs.append((context, target))
-    return pairs
+    return [(context, vocab.encode(entry.text)) for entry in entries]
 
 
 def _update_round(model, pairs, cfg: UpdateRuleConfig, phi0, pre_diag,

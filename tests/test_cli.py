@@ -27,7 +27,7 @@ from ttalab.genmodel import ToyLM
 from ttalab.optim import UpdateRuleConfig
 from ttalab.precond import Preconditioner
 from ttalab.safebank import SafeBank
-from ttalab.tta import EpisodeConfig, load_episodes
+from ttalab.tta import EpisodeConfig
 
 from helpers import blas_threads
 
@@ -1006,6 +1006,22 @@ def test_bad_model_file_exits_2_before_any_work(ws, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "sub").exists()
 
 
+@pytest.mark.parametrize("text", ["", "   ", 5], ids=["empty", "blank", "int"])
+def test_bank_entry_with_no_word_is_config_error(ws, tmp_path, capsys, monkeypatch, text):
+    """An update trains on an entry's tokens, one per word, so a bank entry
+    whose text has no word is refused at load, naming the bank, before any
+    episode and any output."""
+    monkeypatch.setattr(cli, "run_episode", _refuse_episode)
+    lines = (ws / "scenario" / "bank.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "text": text})
+    path = tmp_path / "bank.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["run", "--config", str(ws / "run.json"), "--set", "prompts.sample=4",
+                     "--set", f"output_dir={tmp_path / 'o'}", "--set", f"bank={path}"]) == 2
+    assert f"{path}: not a readable safe-bank artifact" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", ["trigger_1.tsv", "report_0.tsv", "cue_sex.tsv"])
 def test_lexicon_with_no_terms_is_config_error(ws, tmp_path, capsys, monkeypatch, name):
     """An empty member would lower its committee's mean, an empty cue
@@ -1387,7 +1403,8 @@ def test_ood_singular_reference_is_config_error(ood_ws, tmp_path, capsys):
     ("background_model", ['detectors=["llr"]', "background_model=bg.json"]),
     ("embeddings", ["reference.texts=null", "reference.embeddings=ref.emb.txt"]),
     ("k", ["k=26"]),
-], ids=["model", "background_model", "embeddings", "k"])
+    ("width", ["reference.texts=null", "reference.embeddings=wide.emb.txt"]),
+], ids=["model", "background_model", "embeddings", "k", "width"])
 def test_ood_bad_input_is_config_error(ood_ws, tmp_path, capsys, damage, sets):
     shutil.copytree(ood_ws / "scenario", tmp_path / "scenario")
     for name in ("ood.json", "ref.txt", "id.txt", "oodset.txt"):
@@ -1395,6 +1412,8 @@ def test_ood_bad_input_is_config_error(ood_ws, tmp_path, capsys, damage, sets):
     model = (tmp_path / "scenario" / "model.json").read_bytes()
     (tmp_path / "bg.json").write_bytes(model)
     (tmp_path / "ref.emb.txt").write_text("3 2 digest reference\n0 1 2\n0 1\n")
+    # well formed, but 3 wide against the model's embeddings of the id/ood texts
+    (tmp_path / "wide.emb.txt").write_text("3 6 digest reference\n" + "0 1 2\n3 4 5\n" * 3)
     if damage == "model":
         (tmp_path / "scenario" / "model.json").write_bytes(model[:100])
     elif damage == "background_model":
@@ -1404,6 +1423,22 @@ def test_ood_bad_input_is_config_error(ood_ws, tmp_path, capsys, damage, sets):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "oodrun").exists()
+
+
+def test_ood_reads_back_its_own_embeddings(ood_ws, tmp_path):
+    """The three written .emb.txt files, fed back as embeddings inputs with
+    no model, reproduce every output byte of the run from texts."""
+    assert cli.main(["ood", "--config", str(ood_ws / "ood.json"),
+                     "--set", f"output_dir={tmp_path / 'texts'}"]) == 0
+    sets = [f"{name}.{key}={value}" for name in ("reference", "id", "ood")
+            for key, value in (("texts", "null"),
+                               ("embeddings", tmp_path / "texts" / f"{name}.emb.txt"))]
+    assert cli.main(["ood", "--config", str(ood_ws / "ood.json"), "--set", "model=null",
+                     "--set", f"output_dir={tmp_path / 'emb'}",
+                     *[a for s in sets for a in ("--set", s)]]) == 0
+    for name in ("reference.emb.txt", "id.emb.txt", "ood.emb.txt", "ood.tsv", "ood.json"):
+        assert ((tmp_path / "texts" / name).read_bytes()
+                == (tmp_path / "emb" / name).read_bytes())
 
 
 def test_ood_output_independent_of_input_location(ood_ws, tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from ttalab.genmodel import NgramOneHot, ToyLM, Vocabulary, init_adapter
 from ttalab.ood import (
-    DetectorResult,
     EmbeddingSet,
     aupr,
     auroc,
@@ -15,9 +14,9 @@ from ttalab.ood import (
     embed_tokens,
     evaluate,
     fit_gaussian,
-    knn_score,
-    llr_score,
-    mahalanobis_score,
+    knn_scores,
+    llr_scores,
+    mahalanobis_scores,
 )
 
 
@@ -38,16 +37,16 @@ def pairwise_auroc(ood, idd):
 
 def test_knn_hand_values():
     ref = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert knn_score([0.0, 0.0], ref, k=1) == 0.0
-    assert knn_score([0.0, 0.0], ref, k=2) == 5.0
+    assert knn_scores([[0.0, 0.0]], ref, k=1).tolist() == [0.0]
+    assert knn_scores([[0.0, 0.0]], ref, k=2).tolist() == [5.0]
 
 
 def test_knn_k_out_of_range():
     ref = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        knn_score([0.0, 0.0], ref, k=4)
+        knn_scores([[0.0, 0.0]], ref, k=4)
     with pytest.raises(ValueError):
-        knn_score([0.0, 0.0], ref, k=0)
+        knn_scores([[0.0, 0.0]], ref, k=0)
 
 
 def test_knn_scaling_and_auroc_invariance():
@@ -55,12 +54,12 @@ def test_knn_scaling_and_auroc_invariance():
     ref = rng.normal(size=(30, 4))
     far = rng.normal(loc=3.0, size=(10, 4))
     near = rng.normal(size=(10, 4))
-    s_far = [knn_score(q, ref, k=5) for q in far]
-    s_near = [knn_score(q, ref, k=5) for q in near]
+    s_far = knn_scores(far, ref, k=5)
+    s_near = knn_scores(near, ref, k=5)
     c = 2.5
-    s_far_scaled = [knn_score(c * q, c * ref, k=5) for q in far]
-    np.testing.assert_allclose(s_far_scaled, np.array(s_far) * c, rtol=1e-12)
-    assert auroc(s_far, s_near) == auroc(np.array(s_far) * c, np.array(s_near) * c)
+    s_far_scaled = knn_scores(c * far, c * ref, k=5)
+    np.testing.assert_allclose(s_far_scaled, s_far * c, rtol=1e-12)
+    assert auroc(s_far, s_near) == auroc(s_far * c, s_near * c)
 
 
 def test_knn_superset_monotone():
@@ -68,9 +67,8 @@ def test_knn_superset_monotone():
     base = rng.normal(size=(12, 3))
     extra = rng.normal(size=(6, 3))
     grown = np.vstack([base, extra])
-    for _ in range(20):
-        q = rng.normal(size=3)
-        assert knn_score(q, grown, k=4) <= knn_score(q, base, k=4) + 1e-15
+    queries = rng.normal(size=(20, 3))
+    assert np.all(knn_scores(queries, grown, k=4) <= knn_scores(queries, base, k=4) + 1e-15)
 
 
 # -- mahalanobis -----------------------------------------------------------------
@@ -78,31 +76,44 @@ def test_knn_superset_monotone():
 
 def test_mahalanobis_hand_values():
     mu = np.zeros(2)
-    assert mahalanobis_score([3.0, 4.0], mu, np.eye(2), shrinkage=0.0) == 5.0
-    got = mahalanobis_score([2.0, 1.0], mu, np.diag([4.0, 1.0]), shrinkage=0.0)
-    assert abs(got - math.sqrt(2.0)) < 1e-12
-    assert mahalanobis_score(mu, mu, np.diag([4.0, 1.0]), shrinkage=0.0) == 0.0
+    assert mahalanobis_scores([[3.0, 4.0]], mu, np.eye(2), shrinkage=0.0).tolist() == [5.0]
+    got = mahalanobis_scores([[2.0, 1.0], mu], mu, np.diag([4.0, 1.0]), shrinkage=0.0)
+    assert abs(got[0] - math.sqrt(2.0)) < 1e-12
+    assert got[1] == 0.0
 
 
 def test_mahalanobis_isotropic_is_scaled_euclidean():
     rng = np.random.default_rng(2)
     mu = rng.normal(size=5)
     sigma = 1.7
-    for _ in range(10):
-        q = rng.normal(size=5)
-        got = mahalanobis_score(q, mu, sigma ** 2 * np.eye(5), shrinkage=0.0)
-        assert abs(got - np.linalg.norm(q - mu) / sigma) < 1e-10
+    queries = rng.normal(size=(10, 5))
+    got = mahalanobis_scores(queries, mu, sigma ** 2 * np.eye(5), shrinkage=0.0)
+    assert np.all(np.abs(got - np.linalg.norm(queries - mu, axis=1) / sigma) < 1e-10)
 
 
-def test_mahalanobis_singular_and_default_shrinkage():
+def test_mahalanobis_singular_and_default_gamma():
     with pytest.raises(np.linalg.LinAlgError):
-        mahalanobis_score([1.0, 1.0], np.zeros(2), np.zeros((2, 2)), shrinkage=0.0)
+        mahalanobis_scores([[1.0, 1.0]], np.zeros(2), np.zeros((2, 2)), shrinkage=0.0)
     # default gamma = 1e-3 trace/dim keeps the zero matrix invertible
     sigma = np.diag([2.0, 0.0])
     gamma = 1e-3 * 2.0 / 2.0
-    want = mahalanobis_score([1.0, 1.0], np.zeros(2), sigma, shrinkage=gamma)
-    got = mahalanobis_score([1.0, 1.0], np.zeros(2), sigma)
-    assert got == want
+    want = mahalanobis_scores([[1.0, 1.0]], np.zeros(2), sigma, shrinkage=gamma)
+    got = mahalanobis_scores([[1.0, 1.0]], np.zeros(2), sigma)
+    assert got.tolist() == want.tolist()
+
+
+def test_set_scores_do_not_depend_on_the_rest_of_the_set():
+    """A query scores the same bits alone as in a set: the set scorers share
+    only the reference side (one Cholesky factor) between queries."""
+    rng = np.random.default_rng(12)
+    ref = rng.normal(size=(30, 4))
+    queries = rng.normal(size=(7, 4))
+    mu, sigma = fit_gaussian(ref)
+    for score in (lambda q: knn_scores(q, ref, k=3),
+                  lambda q: mahalanobis_scores(q, mu, sigma)):
+        alone = np.concatenate([score(queries[n:n + 1]) for n in range(len(queries))])
+        assert score(queries).tobytes() == alone.tobytes()
+        assert score(queries[:0]).shape == (0,)
 
 
 def test_fit_gaussian_matches_numpy():
@@ -119,6 +130,8 @@ def test_fit_gaussian_matches_numpy():
 class FakeSeqModel:
     """Canned sequence log-probs keyed on the token tuple."""
 
+    vocab = Vocabulary(["a", "b", "c"])
+
     def __init__(self, table):
         self.table = table
 
@@ -129,8 +142,8 @@ class FakeSeqModel:
 def test_llr_hand_value():
     fg = FakeSeqModel({(1, 2): math.log(0.5)})
     bg = FakeSeqModel({(1, 2): math.log(0.25)})
-    got = llr_score([1, 2], fg, bg)
-    assert abs(got - (-math.log(2.0))) < 1e-14
+    got = llr_scores(["b c"], fg, bg)
+    assert abs(got[0] - (-math.log(2.0))) < 1e-14
 
 
 def small_model(seed=0):
@@ -145,7 +158,7 @@ def small_model(seed=0):
 def test_llr_identical_models_uninformative():
     model = small_model()
     texts = ["a b c", "c c a", "b a", "a a a b"]
-    scores = [llr_score(t, model, model) for t in texts]
+    scores = llr_scores(texts, model, model)
     assert all(s == 0.0 for s in scores)
     # all ties: the rank statistic lands exactly on chance level
     assert auroc(scores[:2], scores[2:]) == 0.5
@@ -232,12 +245,12 @@ def test_gaussian_clusters_are_detected():
     ref = rng.normal(size=(200, 6))
     idd = rng.normal(size=(60, 6))
     ood = rng.normal(loc=2.5, size=(60, 6))
-    s_id = [knn_score(q, ref, k=10) for q in idd]
-    s_ood = [knn_score(q, ref, k=10) for q in ood]
+    s_id = knn_scores(idd, ref, k=10)
+    s_ood = knn_scores(ood, ref, k=10)
     assert evaluate(s_ood, s_id, bootstrap_n=0).auroc > 0.95
     mu, sigma = fit_gaussian(ref)
-    m_id = [mahalanobis_score(q, mu, sigma) for q in idd]
-    m_ood = [mahalanobis_score(q, mu, sigma) for q in ood]
+    m_id = mahalanobis_scores(idd, mu, sigma)
+    m_ood = mahalanobis_scores(ood, mu, sigma)
     assert evaluate(m_ood, m_id, bootstrap_n=0).auroc > 0.95
 
 

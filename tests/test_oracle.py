@@ -7,7 +7,6 @@ import pytest
 
 from ttalab.genmodel import NgramOneHot, ToyLM, Vocabulary, init_adapter
 from ttalab.oracle import (
-    DescentBoundReport,
     InfeasibleError,
     SequenceSpace,
     descent_bound_check,

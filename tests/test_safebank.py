@@ -1,5 +1,7 @@
 """Safe bank ingest, sampling, alignment and persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from helpers import FixedScorer, context_align
 from ttalab.safebank import (
     BankExhaustedError,
     SafeBank,
+    SafeEntry,
     ingest,
     sample_safe_batch,
 )
@@ -208,6 +211,30 @@ def test_load_applies_the_safe_set_range(tmp_path, line, old, new, named):
     with pytest.raises(ValueError) as err:
         SafeBank.load(path)
     assert str(path) in str(err.value) and named in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["", "   ", 5], ids=["empty", "blank", "int"])
+def test_entry_text_needs_a_word(tmp_path, text):
+    """An entry trains on one token per word, so a text with no word is
+    refused wherever an entry is made: directly, at ingest and at load."""
+    with pytest.raises(ValueError, match="at least one word"):
+        SafeEntry(text, "race", 0.0)
+    if isinstance(text, str):
+        with pytest.raises(ValueError, match="at least one word"):
+            ingest([(text, "race")], neutral_scorer())
+        with pytest.raises(ValueError, match="at least one word"):
+            ingest([], neutral_scorer(), generic_texts=[text])
+    bank, _ = lexicon_bank()
+    path = tmp_path / "bank.jsonl"
+    bank.save(path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace('"text":"fine text 0"', json.dumps({"text": text})[1:-1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="at least one word") as err:
+        SafeBank.load(path)
+    assert str(path) in str(err.value)
+    # a word outside any vocabulary is one `<unk>` token, so it stays legal
+    assert SafeEntry("zzyzx", "race", 0.0).text == "zzyzx"
 
 
 def test_load_rejects_wrong_kind(tmp_path):

@@ -1,6 +1,5 @@
 """Lexicon scorers, committee means, routing and the plugin protocol."""
 
-import json
 import sys
 import textwrap
 

@@ -13,7 +13,10 @@ unpacking. A default that no call overrides is a constant, not a knob.
 
 Only `artifacts` puts bytes into a file: every other module hands its text
 to `artifacts.write_text`, which writes a temporary file and renames it into
-place, so a crashed command leaves no half-written artifact."""
+place, so a crashed command leaves no half-written artifact.
+
+Every module-level import in the package, the tests and the demos is read
+by its module, or is marked `# noqa: F401` for its side effect."""
 
 import ast
 from pathlib import Path
@@ -177,3 +180,40 @@ def test_only_artifacts_writes_files():
               for w in file_writes(path)]
     assert writes == [], "file writes that bypass artifacts.write_text"
     assert file_writes(WRITER), "the writer itself is gone: update WRITER"
+
+
+# -- every import has a reader ------------------------------------------------------
+
+IMPORTERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+             *sorted((ROOT / "demos").glob("*.py"))]
+
+
+def unused_imports(path):
+    """`file:line name` for each module-level import whose bound name the
+    module never reads (a name listed in `__all__` counts as read)."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                  for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts}
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (isinstance(node, ast.ImportFrom) and node.module == "__future__"
+                or "# noqa: F401" in lines[node.lineno - 1]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                out.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return out
+
+
+def test_no_unused_imports():
+    unused = [u for path in IMPORTERS for u in unused_imports(path)]
+    assert unused == [], "imports that their module never reads"
