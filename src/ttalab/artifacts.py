@@ -2,7 +2,8 @@
 writes, JSON/JSONL and plain-text line files.
 
 `write_text` is the only code in the package that puts bytes into a file;
-every other writer builds its text and hands it over."""
+every other writer builds its text and hands it over. Readers raise without
+the file name, as `json.load` does; the caller that opened the file names it."""
 
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(d: dict) -> np.ndarray:
+    if not isinstance(d, dict):
+        raise ValueError(f"an encoded array must be an object, got {type(d).__name__}")
     if d.get("dtype") != "float64":
         raise ValueError(f"unsupported array dtype {d.get('dtype')!r}")
     raw = base64.b64decode(d["data"])
@@ -82,14 +85,13 @@ def write_json(path, obj) -> None:
     write_text(path, json_text(obj))
 
 
-def check_header(doc, kind: str, version: int, path) -> None:
+def check_header(doc, kind: str, version: int) -> None:
     """Raise ValueError unless `doc` is a `kind` artifact at `format_version`
     `version`."""
     if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise ValueError(f"{path}: not a {kind} artifact")
+        raise ValueError(f"not a {kind} artifact")
     if doc.get("format_version") != version:
-        raise ValueError(f"{path}: unsupported {kind} format version "
-                         f"{doc.get('format_version')!r}")
+        raise ValueError(f"unsupported {kind} format version {doc.get('format_version')!r}")
 
 
 def read_json(path) -> dict:
@@ -106,6 +108,6 @@ def read_jsonl(path) -> tuple[dict, list[dict]]:
     """Read a header-plus-records JSONL file written by write_jsonl."""
     lines = read_lines(path)
     if not lines:
-        raise ValueError(f"{path}: empty artifact")
+        raise ValueError("empty artifact")
     header = json.loads(lines[0])
     return header, [json.loads(ln) for ln in lines[1:]]

@@ -291,11 +291,12 @@ def config_digest(cfg: dict) -> str:
 
 def _load(kind: str, load, path, **kwargs):
     """`load(path, **kwargs)` for an input artifact: a digest mismatch exits
-    3, a file that cannot be read or parsed is a configuration error."""
+    3, a file that cannot be read or parsed is a configuration error. The
+    readers raise without the file name; this is the one place that adds it."""
     try:
         return load(path, **kwargs)
     except DigestMismatchError as exc:
-        raise CliError(EXIT_DIGEST, str(exc))
+        raise CliError(EXIT_DIGEST, f"{path}: {exc}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliError(EXIT_CONFIG, f"{path}: not a readable {kind} artifact: {exc}")
 
@@ -387,13 +388,15 @@ def _select_prompts(cfg: dict, inputs: dict, report_scorers) -> list[str]:
     lines = _read_input(cfg, inputs, "prompts.path", "prompt", read_lines)
     floor = cfg["prompts"]["min_bias"]
     kept = [ln for ln in lines if report_score(ln, report_scorers) >= floor]
+    path = inputs["prompts.path"]["path"]
+    if not kept:
+        raise CliError(EXIT_CONFIG, f"prompt file {path}: no prompts pass the bias floor {floor}")
     n = cfg["prompts"]["sample"]
     if n is None:
         return kept
     if len(kept) < n:
-        raise CliError(EXIT_CONFIG,
-                       f"prompt file {inputs['prompts.path']['path']}: only {len(kept)} "
-                       f"prompts pass the bias floor {floor}, need {n}")
+        raise CliError(EXIT_CONFIG, f"prompt file {path}: only {len(kept)} prompts "
+                                    f"pass the bias floor {floor}, need {n}")
     rng = np.random.default_rng(cfg["prompts"]["seed"])
     idx = rng.permutation(len(kept))[:n]
     return [kept[i] for i in sorted(int(i) for i in idx)]
@@ -492,8 +495,6 @@ def _run(cfg: dict, jobs: int) -> int:
                                      Preconditioner.load, model=model)
 
     prompts = _select_prompts(cfg, artifacts, report_scorers)
-    if not prompts:
-        raise CliError(EXIT_CONFIG, "no prompts pass the bias floor")
 
     _INPUTS.update(
         model=model, bank=bank, preconditioner=preconditioner, config=episode_cfg,
@@ -580,7 +581,7 @@ def read_run(run_dir) -> tuple[dict, list, list[dict]]:
 
     def manifest(path):
         man = read_json(path)
-        check_header(man, MANIFEST_KIND, MANIFEST_VERSION, path)
+        check_header(man, MANIFEST_KIND, MANIFEST_VERSION)
         for key in MANIFEST_KEYS:
             if not isinstance(_config_value(man, key), str):  # a KeyError names it
                 raise ValueError(f"manifest key {key!r} is not a string")

@@ -275,6 +275,7 @@ class ToyLM:
         self._adapter = adapter.copy()
         self._initial_adapter = adapter
         self._wc = None
+        self._digest = None
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -409,7 +410,7 @@ class ToyLM:
     @classmethod
     def load(cls, path) -> "ToyLM":
         d = read_json(path)
-        check_header(d, CHECKPOINT_KIND, CHECKPOINT_VERSION, path)
+        check_header(d, CHECKPOINT_KIND, CHECKPOINT_VERSION)
         if d["feature"]["kind"] != NgramOneHot.kind:
             raise ValueError(f"unknown feature map {d['feature']['kind']!r}")
         vocab = Vocabulary(d["vocab"])
@@ -417,17 +418,20 @@ class ToyLM:
         # an older layout also saved the current state; it loads only when
         # that state is the episode start, the one state a checkpoint holds
         if any(d.get(f"adapter_{x}", d[f"initial_{x}"]) != d[f"initial_{x}"] for x in "ab"):
-            raise ValueError(f"{path}: adapter state differs from the episode-start "
+            raise ValueError("adapter state differs from the episode-start "
                              "adapter; a checkpoint holds the episode-start model only")
         adapter = AdapterParams(decode_array(d["initial_a"]), decode_array(d["initial_b"]),
                                 alpha=d["alpha"])
         if d["rank"] != adapter.rank:  # a restated value must agree with its source
-            raise ValueError(f"{path}: stored rank {d['rank']!r} differs from "
-                             f"initial_a's {adapter.rank} rows")
+            raise ValueError(f"stored rank {d['rank']!r} differs from initial_a's "
+                             f"{adapter.rank} rows")
         return cls(vocab, decode_array(d["w_base"]), adapter, fmap)
 
     def model_digest(self) -> str:
         """Digest of the checkpoint, so of the episode-start adapter and not
         the current one: preconditioners are estimated at the episode start
-        point and stay valid across episodes."""
-        return digest_obj(self.checkpoint_dict())
+        point and stay valid across episodes. Every array it hashes is
+        read-only, so it is computed once."""
+        if self._digest is None:
+            self._digest = digest_obj(self.checkpoint_dict())
+        return self._digest

@@ -56,16 +56,16 @@ class EmbeddingSet:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             if len(header) != 4:
-                raise ValueError(f"{path}: malformed embedding header")
+                raise ValueError("malformed embedding header")
             dim, count = int(header[0]), int(header[1])
             rows = []
             for ln, line in enumerate(fh, start=2):
                 vals = np.array(line.split(), dtype=np.float64)
                 if vals.size != dim:
-                    raise ValueError(f"{path}:{ln}: expected {dim} values")
+                    raise ValueError(f"line {ln}: expected {dim} values")
                 rows.append(vals)
         if len(rows) != count:
-            raise ValueError(f"{path}: header promises {count} rows, found {len(rows)}")
+            raise ValueError(f"header promises {count} rows, found {len(rows)}")
         return cls(np.stack(rows) if rows else np.zeros((0, dim)),
                    label=header[3], source=header[2])
 

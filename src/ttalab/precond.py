@@ -195,24 +195,16 @@ class Preconditioner:
         """Rebuild from the stored Fisher diagonal and damping; the stored
         `n` and `diag` must equal the rebuilt ones bit for bit."""
         d = read_json(path)
-        check_header(d, PRECOND_KIND, PRECOND_VERSION, path)
+        check_header(d, PRECOND_KIND, PRECOND_VERSION)
         meta = {k: v for k, v in d.items()
                 if k not in ("kind", "format_version", "n", "damping", "diag", "fisher_diag")}
-        try:
-            pre = cls(fisher_diag=decode_array(d["fisher_diag"]), damping=d["damping"],
-                      meta=meta)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        pre = cls(fisher_diag=decode_array(d["fisher_diag"]), damping=d["damping"], meta=meta)
         if d["n"] != pre.n:
-            raise ValueError(f"{path}: stored n={d['n']} but the Fisher diagonal "
-                             f"has {pre.n} entries")
+            raise ValueError(f"stored n={d['n']} but the Fisher diagonal has {pre.n} entries")
         if d["diag"] != encode_array(pre.diag):
-            raise ValueError(f"{path}: stored diag is not 1 / (fisher_diag + damping)")
+            raise ValueError("stored diag is not 1 / (fisher_diag + damping)")
         if model is not None:
-            try:
-                pre.check_model(model)
-            except DigestMismatchError as exc:
-                raise DigestMismatchError(f"{path}: {exc}") from None
+            pre.check_model(model)
         return pre
 
     def check_model(self, model) -> None:

@@ -6,8 +6,9 @@ generic corpus is the uncapped-by-type fallback tier. Banks are immutable
 after ingest and stored in canonical (type, text) order so that
 re-ingesting a persisted bank reproduces it byte for byte. `load` checks
 typed entries against the same `SAFE_FILTER` and refuses a bank whose
-header names another filter. Every entry's text has at least one word, so
-it encodes to at least one token under any vocabulary.
+header names another filter or whose stored counts differ from its entries.
+Every entry's text has at least one word, so it encodes to at least one
+token under any vocabulary.
 """
 
 from __future__ import annotations
@@ -80,35 +81,35 @@ class SafeBank:
     @classmethod
     def load(cls, path) -> "SafeBank":
         header, records = read_jsonl(path)
-        check_header(header, BANK_KIND, BANK_VERSION, path)
+        check_header(header, BANK_KIND, BANK_VERSION)
         if header.get("filter", SAFE_FILTER) != SAFE_FILTER:
-            raise ValueError(f"{path}: bank filter {header['filter']!r} is not the "
+            raise ValueError(f"bank filter {header['filter']!r} is not the "
                              f"ingest filter {SAFE_FILTER}")
         entries: dict[str, list[SafeEntry]] = {t: [] for t in TYPE_ORDER}
         generic: list[SafeEntry] = []
         for rec in records:
-            try:
-                entry = SafeEntry(rec["text"], rec["type"], float(rec["score"]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            entry = SafeEntry(rec["text"], rec["type"], float(rec["score"]))
             if entry.type == "generic":
                 generic.append(entry)
                 continue
             if entry.type not in TYPE_ORDER:
-                raise ValueError(f"{path}: unknown entry type {entry.type!r}")
+                raise ValueError(f"unknown entry type {entry.type!r}")
             try:
                 safe = is_safe(entry.score, SAFE_FILTER)
             except ValueError as exc:
-                raise ValueError(f"{path}: typed entry {entry.text!r}, score {entry.score}: "
+                raise ValueError(f"typed entry {entry.text!r}, score {entry.score}: "
                                  f"{exc}") from None
             if not safe:
-                raise ValueError(
-                    f"{path}: typed entry violates ingest filter "
-                    f"({entry.score} > {SAFE_FILTER}): {entry.text!r}")
+                raise ValueError("typed entry violates ingest filter "
+                                 f"({entry.score} > {SAFE_FILTER}): {entry.text!r}")
             entries[entry.type].append(entry)
         meta = {k: v for k, v in header.items()
                 if k not in ("kind", "format_version", "counts")}
-        return cls(entries, generic, meta)
+        bank = cls(entries, generic, meta)
+        if header["counts"] != bank.counts():  # a restated value must agree with its source
+            raise ValueError(f"stored counts {header['counts']!r} differ from the "
+                             f"entries read, {bank.counts()!r}")
+        return bank
 
 
 def _canonical(entries: list[SafeEntry]) -> list[SafeEntry]:

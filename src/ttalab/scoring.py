@@ -93,14 +93,14 @@ def load_lexicon(path, scorer_id: str | None = None) -> LexiconScorer:
         if not line or line.startswith("#"):
             continue
         if "\t" not in line:
-            raise ValueError(f"{path}:{ln}: expected term<TAB>weight")
+            raise ValueError(f"line {ln}: expected term<TAB>weight")
         term, _, weight = line.partition("\t")
         try:
             terms[term.strip()] = float(weight)
         except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: bad weight {weight!r}") from exc
+            raise ValueError(f"line {ln}: bad weight {weight!r}") from exc
     if not terms:
-        raise ValueError(f"{path}: lexicon has no terms")
+        raise ValueError("lexicon has no terms")
     return LexiconScorer(scorer_id or Path(path).stem, terms)
 
 

@@ -305,5 +305,5 @@ def save_episodes(path, records, meta: dict | None = None) -> None:
 
 def load_episodes(path):
     header, rows = read_jsonl(path)
-    check_header(header, EPISODES_KIND, EPISODES_VERSION, path)
+    check_header(header, EPISODES_KIND, EPISODES_VERSION)
     return header, [EpisodeRecord.from_record(r) for r in rows]

@@ -1006,6 +1006,21 @@ def test_bad_model_file_exits_2_before_any_work(ws, tmp_path, capsys, monkeypatc
     assert not (tmp_path / "sub").exists()
 
 
+@pytest.mark.parametrize("key, field", [("model", "w_base"), ("evaluator", "initial_b"),
+                                        ("preconditioner", "fisher_diag")])
+def test_encoded_array_that_is_not_an_object_exits_2(ws, tmp_path, capsys, monkeypatch,
+                                                     key, field):
+    monkeypatch.setattr(cli, "run_episode", _refuse_episode)
+    source = ws / ("precond.json" if key == "preconditioner" else f"scenario/{key}.json")
+    path = tmp_path / source.name
+    _write_json(path, {**json.loads(source.read_text()), field: "x"})
+    assert cli.main(["run", "--config", str(ws / "run.json"), "--set", f"{key}={path}",
+                     "--set", f"output_dir={tmp_path / 'o'}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not a readable" in err and "must be an object" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text", ["", "   ", 5], ids=["empty", "blank", "int"])
 def test_bank_entry_with_no_word_is_config_error(ws, tmp_path, capsys, monkeypatch, text):
     """An update trains on an entry's tokens, one per word, so a bank entry
@@ -1033,7 +1048,8 @@ def test_lexicon_with_no_terms_is_config_error(ws, tmp_path, capsys, monkeypatch
     path.write_text("# no terms\n\n")
     _write_json(tmp_path / "run.json", _run_config("out"))
     assert cli.main(["run", "--config", str(tmp_path / "run.json")]) == 2
-    assert f"{path}: lexicon has no terms" in capsys.readouterr().err
+    assert f"{path}: not a readable lexicon artifact: lexicon has no terms" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1495,6 +1511,159 @@ def test_config_sweep_exits_with_a_documented_code(ood_ws, tmp_path):
                     continue
                 if code not in (0, 2, 3, 4) or (code == 2 and case.exists()):
                     wrong.append((command, key, value, code))
+    assert wrong == []
+
+
+# -- every input artifact against bad edits -----------------------------------
+
+
+def _edit_field(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+def _drop_field(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _edit_line(i, edit):
+    """An edit of a JSONL file's lines: `edit` applied to line i's document."""
+    return lambda lines: [*lines[:i], json.dumps(edit(json.loads(lines[i]))), *lines[i + 1:]]
+
+
+MODEL_SWEEP = {  # JSON document edits of a model file
+    "nan": _edit_array("w_base", np.nan),
+    "inf": _edit_array("initial_b", np.inf),
+    "array-str": _edit_field("w_base", "x"),
+    "del-vocab": _drop_field("vocab"),
+    "alpha-str": _edit_field("alpha", "x"),
+}
+PRECOND_SWEEP = {
+    "nan": _edit_array("fisher_diag", np.nan),
+    "inf": _edit_array("fisher_diag", np.inf),
+    "array-str": _edit_field("fisher_diag", "x"),
+    "del-damping": _drop_field("damping"),
+    "damping-str": _edit_field("damping", "x"),
+    "damping-zero": _edit_field("damping", 0.0),
+    "fisher-negative": _edit_array("fisher_diag", -1e-3),
+    "diag": _edit_array("diag", 0.5),
+    "n": lambda doc: {**doc, "n": doc["n"] + 1},
+    "other-model": _edit_field("model_digest", "0" * 64),  # a digest error: exit 3
+}
+BANK_SWEEP = {  # edits of the bank's lines
+    "counts": _edit_line(0, lambda h: {**h, "counts": {**h["counts"],
+                                                       "race": h["counts"]["race"] + 1}}),
+    "lost-line": lambda lines: lines[:-1],
+    "blank-text": _edit_line(1, _edit_field("text", "   ")),
+    "score-str": _edit_line(1, _edit_field("score", "x")),
+    "del-text": _edit_line(1, _drop_field("text")),
+}
+LEXICON_SWEEP = {  # edits of a lexicon's text
+    "no-tab": lambda text: text + "word 0.5\n",
+    "bad-weight": lambda text: text + "word\tx\n",
+}
+
+
+def _edit_text_line(i, edit):
+    """An edit of a text file: `edit` applied to line i, newline included."""
+    return lambda text: "".join(edit(ln) if j == i else ln
+                                for j, ln in enumerate(text.splitlines(keepends=True)))
+
+
+EMBEDDING_SWEEP = {
+    "header": _edit_text_line(0, lambda ln: "92 25\n"),
+    "nan": _edit_text_line(1, lambda ln: "nan" + ln[ln.index(" "):]),
+    "short-row": _edit_text_line(1, lambda ln: ln.rsplit(" ", 1)[0] + "\n"),
+    "lost-row": lambda text: "".join(text.splitlines(keepends=True)[:-1]),
+}
+
+
+def _artifact_sweep_cases():
+    """(command, config key, source file, edit name, edit): each edit applies
+    to the source's JSON document, its lines (the bank) or its text."""
+    sources = [("run", "model", "scenario/model.json", MODEL_SWEEP),
+               ("run", "evaluator", "scenario/evaluator.json", MODEL_SWEEP),
+               ("precompute", "model", "scenario/model.json", MODEL_SWEEP),
+               ("run", "preconditioner", "precond.json", PRECOND_SWEEP),
+               ("run", "bank", "scenario/bank.jsonl", BANK_SWEEP),
+               ("run", "lexicons.trigger.0", "scenario/trigger_0.tsv", LEXICON_SWEEP),
+               ("run", "lexicons.cue.race", "scenario/cue_race.tsv", LEXICON_SWEEP),
+               ("run", "prompts.path", "scenario/prompts.txt",
+                {"below-floor": lambda text: "the cat sat on the mat\n"}),
+               ("precompute", "corpus", "scenario/fisher_corpus.txt", {}),
+               ("ood", "model", "scenario/model.json", MODEL_SWEEP),
+               ("ood", "background_model", "scenario/evaluator.json", MODEL_SWEEP),
+               ("ood", "reference.embeddings", "ref.emb.txt", EMBEDDING_SWEEP),
+               ("ood", "id.texts", "id.txt", {})]
+    for command, key, source, edits in sources:
+        for name, edit in {**edits, "empty": None}.items():
+            yield command, key, source, name, edit
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the input should have been refused before any work")
+
+
+def test_artifact_sweep_exits_with_a_documented_code(ood_ws, tmp_path, capsys, monkeypatch):
+    """Each input artifact of `run`, `precompute` and `ood`, edited each way,
+    is refused before the first episode, estimate or detector: exit 2 (3 for
+    a digest error), its path named exactly once on stderr, no output."""
+    monkeypatch.setattr(cli, "_run_one", _refuse_work)
+    monkeypatch.setattr(cli, "estimate_diag_fisher", _refuse_work)
+    monkeypatch.setattr(cli.oodmod, "evaluate", _refuse_work)
+    # the inputs are written once; each case reads one edited copy
+    shutil.copytree(ood_ws / "scenario", tmp_path / "scenario")
+    for name in ("precond.json", "id.txt", "oodset.txt"):
+        shutil.copy(ood_ws / name, tmp_path / name)
+    cli.oodmod.embed_corpus(ToyLM.load(tmp_path / "scenario" / "model.json"),
+                            (ood_ws / "ref.txt").read_text().splitlines(),
+                            label="reference").save(tmp_path / "ref.emb.txt")
+    prompts = tmp_path / "scenario" / "prompts.txt"
+    prompts.write_text("\n".join(prompts.read_text().splitlines()[:2]) + "\n")
+    configs = {
+        "run": _run_config("out", prompts={"path": "scenario/prompts.txt", "min_bias": 0.4,
+                                           "sample": None, "seed": 0}),
+        "precompute": {**json.loads((ood_ws / "precompute.json").read_text()), "output": "out"},
+        "ood": {**json.loads((ood_ws / "ood.json").read_text()),
+                "background_model": "scenario/evaluator.json",
+                "detectors": ["knn", "mahalanobis", "llr"],
+                "reference": {"texts": None, "embeddings": "ref.emb.txt"}},
+    }
+    for command, cfg in configs.items():  # unedited, each command reaches its work
+        _write_json(tmp_path / f"{command}.json", cfg)
+        with pytest.raises(AssertionError, match="before any work"):
+            cli.main([command, "--config", str(tmp_path / f"{command}.json")])
+    capsys.readouterr()
+    wrong = []
+    for command, key, source, name, edit in _artifact_sweep_cases():
+        case = tmp_path / f"{command}-{key}-{name}"
+        case.mkdir()
+        path = case / Path(source).name
+        text = (tmp_path / source).read_text()
+        if edit is None:
+            text = ""
+        elif path.suffix == ".json":
+            text = json.dumps(edit(json.loads(text)))
+        elif path.suffix == ".jsonl":
+            text = "\n".join(edit(text.splitlines())) + "\n"
+        else:
+            text = edit(text)
+        path.write_text(text)
+        cfg = json.loads(json.dumps(configs[command]))
+        *parents, last = key.split(".")
+        node = cli._config_value(cfg, ".".join(parents)) if parents else cfg
+        node[int(last) if isinstance(node, list) else last] = str(path)
+        cfg["output" if command == "precompute" else "output_dir"] = str(case / "out")
+        config = tmp_path / f"{case.name}.json"
+        _write_json(config, cfg)
+        try:
+            code = cli.main([command, "--config", str(config)])
+        except Exception as exc:
+            wrong.append((case.name, f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        want = 3 if name == "other-model" else 2
+        if code != want or err.count(str(path)) != 1 or (case / "out").exists():
+            wrong.append((case.name, code, err))
     assert wrong == []
 
 

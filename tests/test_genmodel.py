@@ -15,7 +15,7 @@ from helpers import (
     reference_sample_segment,
     reference_sequence_log_prob,
 )
-from ttalab.artifacts import encode_array, write_json
+from ttalab.artifacts import digest_obj, encode_array, write_json
 from ttalab.genmodel import (
     AdapterParams,
     GenerationSettings,
@@ -517,7 +517,7 @@ def test_load_refuses_a_rank_that_disagrees_with_the_arrays(tmp_path):
     write_json(path, {**m.checkpoint_dict(), "rank": m.adapter.rank + 1})
     with pytest.raises(ValueError, match="rank") as err:
         ToyLM.load(path)
-    assert str(path) in str(err.value)
+    assert str(path) not in str(err.value)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -548,9 +548,9 @@ def test_older_layout_loads_only_at_its_episode_start(tmp_path):
     assert ToyLM.load(path).model_digest() == m.model_digest()
     m.apply_delta(np.full(m.param_count, 0.01))
     write_json(path, {**doc, "adapter_b": encode_array(m.adapter.b)})
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match="adapter state differs") as err:
         ToyLM.load(path)
-    assert str(path) in str(err.value)
+    assert str(path) not in str(err.value)
 
 
 def test_model_digest_tracks_base_not_current_adapter():
@@ -561,6 +561,19 @@ def test_model_digest_tracks_base_not_current_adapter():
     w = m.w_base.copy()
     w[0, 0] += 1.0
     assert ToyLM(m.vocab, w, m.initial_adapter, m.fmap).model_digest() != d0
+
+
+def test_model_digest_is_computed_once(monkeypatch):
+    """The digest hashes read-only arrays only, so the checkpoint is built
+    and hashed on the first call and the stored value is returned after."""
+    m = small_model(seed=20)
+    calls = []
+    build = m.checkpoint_dict
+    monkeypatch.setattr(m, "checkpoint_dict", lambda: calls.append(1) or build())
+    assert m.model_digest() == digest_obj(build())
+    m.apply_delta(np.full(m.param_count, 0.02))
+    assert m.model_digest() == digest_obj(build())
+    assert len(calls) == 1
 
 
 def test_load_rejects_wrong_kind(tmp_path):

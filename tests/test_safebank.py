@@ -210,7 +210,7 @@ def test_load_applies_the_safe_set_range(tmp_path, line, old, new, named):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as err:
         SafeBank.load(path)
-    assert str(path) in str(err.value) and named in str(err.value)
+    assert named in str(err.value) and str(path) not in str(err.value)
 
 
 @pytest.mark.parametrize("text", ["", "   ", 5], ids=["empty", "blank", "int"])
@@ -232,9 +232,25 @@ def test_entry_text_needs_a_word(tmp_path, text):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="at least one word") as err:
         SafeBank.load(path)
-    assert str(path) in str(err.value)
+    assert str(path) not in str(err.value)
     # a word outside any vocabulary is one `<unk>` token, so it stays legal
     assert SafeEntry("zzyzx", "race", 0.0).text == "zzyzx"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: [lines[0].replace('"race":3', '"race":999'), *lines[1:]],
+    lambda lines: lines[:-1],
+], ids=["header", "lost-line"])
+def test_load_refuses_counts_that_differ_from_the_entries(tmp_path, edit):
+    """The header's `counts` restate the entries, so they must agree."""
+    bank, _ = lexicon_bank()
+    path = tmp_path / "bank.jsonl"
+    bank.save(path)
+    lines = path.read_text().splitlines()
+    assert '"race":3' in lines[0]
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match="stored counts"):
+        SafeBank.load(path)
 
 
 def test_load_rejects_wrong_kind(tmp_path):
