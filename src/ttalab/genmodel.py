@@ -120,7 +120,8 @@ class AdapterParams:
     in the package. `phi` and its block views `a` and `b` are read-only: a
     write through any of them raises ValueError, and none can be rebound.
     Only `ToyLM`'s three writers change the state, through the private
-    array. `a` and `b` must be finite and `alpha` a finite real > 0.
+    array. `a` and `b` must be finite, the rank at least 1 and `alpha`
+    a finite real > 0.
     """
 
     def __init__(self, a, b, alpha: float = 32.0):
@@ -128,6 +129,8 @@ class AdapterParams:
         b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
             raise ValueError("adapter shapes must be A:(rank,dim), B:(vocab,rank)")
+        if a.shape[0] < 1:
+            raise ValueError("adapter rank must be >= 1")
         if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
                 or not (math.isfinite(alpha) and alpha > 0)):
             raise ValueError(f"alpha must be a finite number > 0, got {alpha!r}")

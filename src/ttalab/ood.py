@@ -131,7 +131,10 @@ def mahalanobis_scores(queries, mu, sigma, shrinkage: float | None = None) -> np
 
 
 def llr_scores(texts, foreground, background) -> np.ndarray:
-    """log p_bg(t) - log p_fg(t) per text t; higher is more OOD for the foreground."""
+    """log p_bg(t) - log p_fg(t) per text t; higher is more OOD for the foreground.
+
+    The foreground models the in-distribution text, so a text the background
+    explains better scores high."""
     return np.array([background.sequence_log_prob(background.vocab.encode(t))
                      - foreground.sequence_log_prob(foreground.vocab.encode(t))
                      for t in texts], dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Bias scoring: weighted lexicons, committees, the trigger monitor, plugins.
+"""Bias scoring: weighted lexicons, committees, the trigger monitor.
 
 Two scorer committees exist side by side with a hard firewall between them:
 the trigger committee decides when adaptation fires, the reporting committee
@@ -9,13 +9,8 @@ path.
 
 from __future__ import annotations
 
-import json
 import math
-import queue
 import re
-import subprocess
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,119 +213,3 @@ class BiasMonitor:
             dominant=routing.dominant,
             trigger=should_trigger(mean, epsilon),
         )
-
-
-class PluginScorer:
-    """External scorer spoken to over line-delimited JSON on stdio.
-
-    Request: {"id": <int>, "text": <str>}; response must echo the id and
-    carry {"scores": {name: value}}. One in-flight request per connection;
-    any protocol violation or timeout raises ScoringError with this
-    scorer's id.
-
-    Library-only: the CLI never constructs one, so a run config cannot name
-    a plugin. A caller that forks workers (as `ttalab run --jobs N` does)
-    must start one per worker: an instance started before the fork shares
-    its pipes and reply queue with every worker.
-    """
-
-    def __init__(self, scorer_id: str, argv, field: str | None = None,
-                 timeout: float = 5.0):
-        self.id = scorer_id
-        self.argv = list(argv)
-        self.field = field
-        self.timeout = timeout
-        self._proc = None
-        self._pump = None
-        self._lines: queue.Queue = queue.Queue()
-        self._next_id = 0
-        self._lock = threading.Lock()
-
-    def _ensure_started(self):
-        if self._proc is not None and self._proc.poll() is None:
-            return
-        self.close()  # a plugin that died still holds its pipes
-        self._proc = subprocess.Popen(
-            self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-
-        def pump(stream, q):
-            for line in stream:
-                q.put(line)
-
-        self._pump = threading.Thread(target=pump, args=(self._proc.stdout, self._lines),
-                                      daemon=True)
-        self._pump.start()
-
-    def close(self):
-        """End the plugin, then close its pipes once the reader has seen EOF."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        if proc.poll() is None:
-            proc.terminate()
-            proc.wait(timeout=2.0)
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass  # text still buffered for a reader that is gone
-        self._pump.join(timeout=2.0)
-        if not self._pump.is_alive():  # a close under a blocked read would wait on it
-            proc.stdout.close()
-
-    def __enter__(self):
-        self._ensure_started()
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _read_reply(self, req_id: int) -> dict:
-        """Next reply not older than `req_id`.
-
-        Late replies to requests that already timed out are discarded, so
-        one slow answer does not shift every later reply by one.
-        """
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.0))
-            except queue.Empty:
-                raise ScoringError(self.id, f"no response within {self.timeout}s") from None
-            try:
-                resp = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScoringError(self.id, f"bad JSON from plugin: {line!r}") from exc
-            if not isinstance(resp, dict):
-                raise ScoringError(self.id, f"reply is not a JSON object: {line!r}")
-            rid = resp.get("id")
-            if not (isinstance(rid, int) and rid < req_id):
-                return resp
-
-    def score(self, text: str) -> float:
-        with self._lock:
-            self._ensure_started()
-            req_id = self._next_id
-            self._next_id += 1
-            try:
-                self._proc.stdin.write(json.dumps({"id": req_id, "text": text}) + "\n")
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise ScoringError(self.id, f"plugin pipe failed: {exc}") from exc
-            resp = self._read_reply(req_id)
-            if resp.get("id") != req_id:
-                raise ScoringError(self.id, f"response id {resp.get('id')} != request {req_id}")
-            scores = resp.get("scores")
-            if not isinstance(scores, dict) or not scores:
-                raise ScoringError(self.id, "response missing scores object")
-            if self.field is not None:
-                if self.field not in scores:
-                    raise ScoringError(self.id, f"score field {self.field!r} absent")
-                value = scores[self.field]
-            elif len(scores) == 1:
-                value = next(iter(scores.values()))
-            else:
-                raise ScoringError(self.id, "multiple scores but no field selected")
-            try:
-                return _clamp(float(value))
-            except (TypeError, ValueError) as exc:
-                raise ScoringError(self.id, f"non-numeric score {value!r}") from exc

@@ -937,7 +937,7 @@ def test_inputs_are_read_as_utf8_whatever_the_locale(ws, tmp_path):
     assert any(rec["prompt"].endswith(" café") for rec in records[0])
 
 
-@pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing", "subprocess"])
 def test_cli_import_leaves_module_unloaded(module):
     probe = ("import sys\n"
              "import ttalab.cli, ttalab.metrics, ttalab.ood\n"
@@ -1530,12 +1530,20 @@ def _edit_line(i, edit):
     return lambda lines: [*lines[:i], json.dumps(edit(json.loads(lines[i]))), *lines[i + 1:]]
 
 
+def _zero_rank(doc):
+    """A rank-0 adapter: A is (0, dim), B is (vocab, 0), and the rank says 0."""
+    a, b = decode_array(doc["initial_a"]), decode_array(doc["initial_b"])
+    return {**doc, "rank": 0, "initial_a": encode_array(a[:0]),
+            "initial_b": encode_array(b[:, :0])}
+
+
 MODEL_SWEEP = {  # JSON document edits of a model file
     "nan": _edit_array("w_base", np.nan),
     "inf": _edit_array("initial_b", np.inf),
     "array-str": _edit_field("w_base", "x"),
     "del-vocab": _drop_field("vocab"),
     "alpha-str": _edit_field("alpha", "x"),
+    "rank-zero": _zero_rank,
 }
 PRECOND_SWEEP = {
     "nan": _edit_array("fisher_diag", np.nan),

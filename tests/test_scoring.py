@@ -1,7 +1,4 @@
-"""Lexicon scorers, committee means, routing and the plugin protocol."""
-
-import sys
-import textwrap
+"""Lexicon scorers, committee means and routing."""
 
 import numpy as np
 import pytest
@@ -12,8 +9,6 @@ from ttalab.scoring import (
     BiasMonitor,
     CallLedger,
     LexiconScorer,
-    PluginScorer,
-    ScoringError,
     committee_score,
     is_safe,
     load_lexicon,
@@ -232,97 +227,3 @@ def test_monitor_evaluate_bundles_everything():
 def test_monitor_rejects_cue_for_uncued_type(cue_type):
     with pytest.raises(ValueError, match=cue_type):
         BiasMonitor([FixedScorer("t1")], {cue_type: LexiconScorer("cue", {"x": 1.0})})
-
-
-# -- plugin protocol -----------------------------------------------------------
-
-ECHO_PLUGIN = textwrap.dedent("""
-    import json, sys
-    for line in sys.stdin:
-        req = json.loads(line)
-        print(json.dumps({"id": req["id"], "scores": {"tox": 0.7, "bias": 0.2}}), flush=True)
-""")
-
-SLOW_PLUGIN = textwrap.dedent("""
-    import sys, time
-    sys.stdin.readline()
-    time.sleep(30)
-""")
-
-SLOW_ONCE_PLUGIN = textwrap.dedent("""
-    import json, sys, time
-    for n, line in enumerate(sys.stdin):
-        req = json.loads(line)
-        if n == 0:
-            time.sleep(1.0)
-        print(json.dumps({"id": req["id"], "scores": {"tox": 0.4}}), flush=True)
-""")
-
-WRONG_ID_PLUGIN = textwrap.dedent("""
-    import json, sys
-    for line in sys.stdin:
-        req = json.loads(line)
-        print(json.dumps({"id": req["id"] + 1, "scores": {"tox": 0.5}}), flush=True)
-""")
-
-
-DIE_ON_REQUEST_PLUGIN = textwrap.dedent("""
-    import json, sys
-    for line in sys.stdin:
-        req = json.loads(line)
-        if req["text"] == "die":
-            sys.exit(1)
-        print(json.dumps({"id": req["id"], "scores": {"tox": 0.3}}), flush=True)
-""")
-
-
-def plugin(tmp_path, code, **kw):
-    script = tmp_path / "plugin.py"
-    script.write_text(code)
-    return PluginScorer("plug", [sys.executable, str(script)], **kw)
-
-
-def test_plugin_roundtrip_and_field_selection(tmp_path):
-    with plugin(tmp_path, ECHO_PLUGIN, field="tox") as sc:
-        assert sc.score("hello") == pytest.approx(0.7)
-        assert sc.score("again") == pytest.approx(0.7)  # id sequencing holds
-
-
-def test_plugin_multiple_scores_need_field(tmp_path):
-    with plugin(tmp_path, ECHO_PLUGIN) as sc:
-        with pytest.raises(ScoringError):
-            sc.score("hello")
-
-
-def test_plugin_timeout_carries_scorer_id(tmp_path):
-    with plugin(tmp_path, SLOW_PLUGIN, timeout=0.3) as sc:
-        with pytest.raises(ScoringError) as err:
-            sc.score("hello")
-        assert err.value.scorer_id == "plug"
-
-
-def test_plugin_id_echo_enforced(tmp_path):
-    with plugin(tmp_path, WRONG_ID_PLUGIN, field="tox") as sc:
-        with pytest.raises(ScoringError):
-            sc.score("hello")
-
-
-def test_plugin_recovers_after_timeout(tmp_path):
-    with plugin(tmp_path, SLOW_ONCE_PLUGIN, field="tox", timeout=0.3) as sc:
-        with pytest.raises(ScoringError):
-            sc.score("slow")
-        # the late reply to the first request must be skipped, not read as
-        # the answer to the next one
-        sc.timeout = 10.0
-        assert sc.score("fast") == pytest.approx(0.4)
-        assert sc.score("again") == pytest.approx(0.4)
-
-
-def test_plugin_restarts_after_it_died(tmp_path):
-    # the dead process's pipes are closed on restart: pytest turns an
-    # unclosed file into an error
-    with plugin(tmp_path, DIE_ON_REQUEST_PLUGIN, field="tox", timeout=0.5) as sc:
-        assert sc.score("first") == pytest.approx(0.3)
-        with pytest.raises(ScoringError):
-            sc.score("die")
-        assert sc.score("after") == pytest.approx(0.3)

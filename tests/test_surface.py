@@ -28,15 +28,6 @@ CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))
 READERS = [*CALLERS, ROOT / "tests" / "test_acceptance.py"]
 SETTERS = [*CALLERS, *sorted((ROOT / "tests").glob("*.py"))]
 
-# Kept without an in-repo reader, with the reason.
-EXEMPT = {
-    # the hook for the paper's external classifiers: a library-only API
-    # that the CLI never constructs (ROADMAP north star, robustness: a slow
-    # external scorer must not poison every later call)
-    "scoring.PluginScorer",
-}
-
-
 def _public(name):
     return not name.startswith("_")
 
@@ -73,12 +64,7 @@ def referenced_names():
 def test_every_public_name_has_a_reader():
     seen = referenced_names()
     unread = {qual for qual, bare in defined_names() if bare not in seen}
-    assert sorted(unread - EXEMPT) == [], "public names that only unit tests read"
-    assert EXEMPT <= unread, "an exempt name is gone or has a reader now: drop it"
-
-
-# Defaulted parameters kept although no call sets them, each with the reason.
-UNSET_EXEMPT: dict[str, str] = {}
+    assert sorted(unread) == [], "public names that only unit tests read"
 
 
 def _functions(path):
@@ -136,9 +122,7 @@ def test_every_defaulted_parameter_has_a_setter():
     calls = calls_by_name()
     unset = {qual for qual, callee, param, position in defaulted_parameters()
              if not any(_sets(c, param, position) for c in calls.get(callee, ()))}
-    assert sorted(unset - set(UNSET_EXEMPT)) == [], \
-        "defaulted parameters that no call sets: make them constants"
-    assert set(UNSET_EXEMPT) <= unset, "an exempt parameter is gone or set now: drop it"
+    assert sorted(unset) == [], "defaulted parameters that no call sets: make them constants"
 
 
 # The one module that writes files.
